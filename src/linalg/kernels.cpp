@@ -135,7 +135,36 @@ void scale(double* y, double alpha, std::size_t n) {
 }
 
 void matvec(const double* a, std::size_t rows, std::size_t cols, const double* x, double* out) {
-  for (std::size_t i = 0; i < rows; ++i) out[i] = dot(a + i * cols, x, cols);
+  // Eight rows per pass, each with its own accumulator summed in
+  // ascending column order: every out[i] is bit-identical to a strict
+  // single-accumulator dot of row i, and the eight independent add
+  // chains overlap their latencies.  Leftover rows go through
+  // dot_strided, which is strict in both builds.
+  std::size_t i = 0;
+  for (; i + 8 <= rows; i += 8) {
+    const double* r = a + i * cols;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0, s5 = 0.0, s6 = 0.0, s7 = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double xj = x[j];
+      s0 += r[j] * xj;
+      s1 += r[cols + j] * xj;
+      s2 += r[2 * cols + j] * xj;
+      s3 += r[3 * cols + j] * xj;
+      s4 += r[4 * cols + j] * xj;
+      s5 += r[5 * cols + j] * xj;
+      s6 += r[6 * cols + j] * xj;
+      s7 += r[7 * cols + j] * xj;
+    }
+    out[i] = s0;
+    out[i + 1] = s1;
+    out[i + 2] = s2;
+    out[i + 3] = s3;
+    out[i + 4] = s4;
+    out[i + 5] = s5;
+    out[i + 6] = s6;
+    out[i + 7] = s7;
+  }
+  for (; i < rows; ++i) out[i] = dot_strided(a + i * cols, 1, x, 1, cols);
 }
 
 void matvec_transposed(const double* a, std::size_t rows, std::size_t cols, const double* x,

@@ -9,14 +9,18 @@
 //     with a single accumulator — bit-identical to the naive reference
 //     loops the library used before the kernels existed, so golden traces
 //     and the cross-thread-count manifests are unchanged.
-//   * -DREDOPT_FAST_KERNELS=ON: dot / norm_squared / distance_squared
-//     switch to 4-lane partial sums (vectorizable, ~2-4x on wide vectors).
-//     This CHANGES the summation order, and therefore last-ulp results —
-//     golden traces must be regenerated (scripts/update_golden.sh) and the
-//     flag is never used for results that feed committed goldens.
+//   * -DREDOPT_FAST_KERNELS=ON: dot / norm_squared / distance_squared /
+//     sum switch to 4-lane partial sums (vectorizable, ~2-4x on wide
+//     vectors).  This CHANGES the summation order, and therefore last-ulp
+//     results — golden traces must be regenerated
+//     (scripts/update_golden.sh) and the flag is never used for results
+//     that feed committed goldens.
 //
 // Element-wise kernels (axpy, add, sub, scale) have no reduction, so they
-// are bit-identical in both modes and free to vectorize.
+// are bit-identical in both modes and free to vectorize.  The matrix
+// kernels (matvec, matvec_transposed, gemm_add) are strict in both
+// builds: they restructure loops only in ways that keep every output's
+// own accumulation order (row interleaving, output blocking).
 #pragma once
 
 #include <cstddef>
@@ -48,7 +52,9 @@ void sub(double* y, const double* x, std::size_t n);
 /// y *= alpha.
 void scale(double* y, double alpha, std::size_t n);
 
-/// out = A x for row-major A (rows x cols): one strict-order dot per row.
+/// out = A x for row-major A (rows x cols).  Eight rows per pass, each
+/// with its own accumulator in ascending column order, so out[i] is bit-
+/// identical to a strict single-accumulator dot of row i in both builds.
 void matvec(const double* a, std::size_t rows, std::size_t cols, const double* x, double* out);
 
 /// out = A^T x for row-major A (rows x cols).  Accumulates row-by-row in

@@ -116,6 +116,10 @@ void Daemon::persist(const JobCheckpoint& checkpoint, bool finished) {
   std::error_code ec;
   fs::remove(checkpoint_path(job_id), ec);
   telemetry::span_instant("serving.manifest", {{"job", telemetry::Value(job_id)}});
+  // The manifest now answers `result`; the instance (about n*d*d doubles)
+  // would otherwise stay resident for the daemon's lifetime.
+  scheduler_.release(job_id);
+  started_at_.erase(job_id);
 }
 
 std::string Daemon::handle_request(const std::string& request_json) {

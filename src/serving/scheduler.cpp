@@ -203,4 +203,11 @@ const chaos::MaterializedScenario* Scheduler::built(const std::string& job_id) c
   return entry == nullptr ? nullptr : entry->built.get();
 }
 
+void Scheduler::release(const std::string& job_id) {
+  Entry* entry = find(job_id);
+  REDOPT_REQUIRE(entry != nullptr && entry->state == JobState::kDone,
+                 "scheduler: release of a job that is not done: " + job_id);
+  entry->built.reset();
+}
+
 }  // namespace redopt::serving

@@ -88,8 +88,15 @@ class Scheduler {
   /// The finished checkpoint of a done job; nullptr otherwise.
   const JobCheckpoint* finished_checkpoint(const std::string& job_id) const;
 
-  /// The materialized instance backing a job (for manifest rendering).
+  /// The materialized instance backing a job (for manifest rendering);
+  /// nullptr for unknown ids and for released jobs.
   const chaos::MaterializedScenario* built(const std::string& job_id) const;
+
+  /// Drops a done job's materialized instance once its result is durable
+  /// elsewhere (the daemon calls it after writing the manifest).  The
+  /// job's status, list row, finished checkpoint and id reservation are
+  /// kept.  Throws redopt::PreconditionError unless the job is done.
+  void release(const std::string& job_id);
 
   /// Test / bench hook: the current cross-job evaluator (nullptr when
   /// fewer than one compatible live job exists).
@@ -100,7 +107,7 @@ class Scheduler {
     JobSpec spec;
     JobCheckpoint checkpoint;
     JobState state = JobState::kQueued;
-    std::shared_ptr<chaos::MaterializedScenario> built;
+    std::shared_ptr<chaos::MaterializedScenario> built;  ///< null once released
     bool in_group = false;        ///< evaluates through the stacked evaluator
     std::size_t agent_base = 0;   ///< first global index within the evaluator
   };

@@ -1,7 +1,6 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -67,11 +66,6 @@ struct MetricInfo {
   BucketLayout layout;  // kHistogram only
 };
 
-std::uint64_t next_registry_uid() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 /// One recording thread's private cells, indexed by metric id.  Only the
@@ -92,7 +86,10 @@ struct Registry::Shard {
 };
 
 struct Registry::Impl {
-  const std::uint64_t uid = next_registry_uid();
+  /// Identifies the registry to thread shard caches and expires with it.
+  /// Caches hold weak references, which keep the control block allocated,
+  /// so a later registry never shares it with a destroyed one.
+  const std::shared_ptr<int> liveness = std::make_shared<int>(0);
   mutable std::mutex mutex;
   std::vector<MetricInfo> metrics;
   // Name-keyed and *ordered*: snapshot() folds metrics by iterating this
@@ -127,22 +124,35 @@ struct Registry::Impl {
 Registry::Registry() : impl_(std::make_unique<Impl>()) {}
 Registry::~Registry() = default;
 
+/// One entry of a thread's shard cache: the registry's liveness token,
+/// matched by owner, and the thread's shard in it.
+struct Registry::CachedShard {
+  std::weak_ptr<int> liveness;
+  Shard* shard;
+};
+
+std::vector<Registry::CachedShard>& Registry::thread_shard_cache() {
+  thread_local std::vector<CachedShard> cache;
+  return cache;
+}
+
+std::size_t Registry::thread_cache_size() { return thread_shard_cache().size(); }
+
 Registry::Shard& Registry::local_shard() const {
-  struct CacheEntry {
-    std::uint64_t uid;
-    Shard* shard;
-  };
-  // Registries are few (the global one plus test-local instances), so a
-  // linear scan beats a hash lookup.  Entries of dead registries never
-  // match again (uids are never reused) and are simply skipped.
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.uid == impl_->uid) return *e.shard;
+  // Live registries are few (the global one, per-replica and test-local
+  // instances), so a linear scan beats a hash lookup.  A miss first drops
+  // the entries of destroyed registries, keeping the scan as short as
+  // the live set however many registries the thread has outlived.
+  std::vector<CachedShard>& cache = thread_shard_cache();
+  const std::shared_ptr<int>& self = impl_->liveness;
+  for (const CachedShard& e : cache) {
+    if (!e.liveness.owner_before(self) && !self.owner_before(e.liveness)) return *e.shard;
   }
+  std::erase_if(cache, [](const CachedShard& e) { return e.liveness.expired(); });
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->shards.push_back(std::make_unique<Shard>());
   Shard* shard = impl_->shards.back().get();
-  cache.push_back(CacheEntry{impl_->uid, shard});
+  cache.push_back(CachedShard{self, shard});
   return *shard;
 }
 

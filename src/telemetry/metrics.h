@@ -168,6 +168,11 @@ class Registry {
   /// Number of registered metrics.
   std::size_t size() const;
 
+  /// Entries in the calling thread's shard cache.  Each is a registry the
+  /// thread recorded into; entries of destroyed registries are pruned at
+  /// the thread's next cache miss.  A test hook for that pruning.
+  static std::size_t thread_cache_size();
+
  private:
   friend class Counter;
   friend class Gauge;
@@ -175,7 +180,9 @@ class Registry {
 
   struct Shard;
   struct Impl;
+  struct CachedShard;
   Shard& local_shard() const;
+  static std::vector<CachedShard>& thread_shard_cache();
 
   std::unique_ptr<Impl> impl_;
 };

@@ -1,5 +1,7 @@
 #include "util/frame.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -21,17 +23,16 @@ constexpr std::size_t kCrcSize = 4;
 /// must not turn into a multi-gigabyte allocation.
 constexpr std::size_t kMaxPayloadDoubles = std::size_t{1} << 22;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xffu));
-  out.push_back(static_cast<char>((v >> 8) & 0xffu));
-  out.push_back(static_cast<char>((v >> 16) & 0xffu));
-  out.push_back(static_cast<char>((v >> 24) & 0xffu));
+void put_u32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
+  p[2] = static_cast<unsigned char>(v >> 16);
+  p[3] = static_cast<unsigned char>(v >> 24);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
+void put_u64(unsigned char* p, std::uint64_t v) {
+  put_u32(p, static_cast<std::uint32_t>(v));
+  put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint32_t get_u32(const unsigned char* p) {
@@ -40,23 +41,31 @@ std::uint32_t get_u32(const unsigned char* p) {
 }
 
 std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int k = 7; k >= 0; --k) v = (v << 8) | static_cast<std::uint64_t>(p[k]);
-  return v;
+  return static_cast<std::uint64_t>(get_u32(p)) |
+         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
 
-const std::uint32_t* crc_table() {
-  static const auto table = [] {
-    static std::uint32_t t[256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial.  Row 0 is the
+/// classic bytewise table; row k maps a byte to its CRC contribution
+/// after k further zero bytes, so one step folds eight input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     }
-    return t;
-  }();
-  return table;
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 bool known_type(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(FrameType::kEstimate) &&
@@ -66,11 +75,16 @@ bool known_type(std::uint8_t raw) {
 }  // namespace
 
 std::uint32_t crc32(const unsigned char* data, std::size_t size) {
-  const std::uint32_t* table = crc_table();
+  const CrcTables& t = kCrcTables;
   std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint32_t lo = get_u32(data + i) ^ crc;
+    const std::uint32_t hi = get_u32(data + i + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; i < size; ++i) crc = t[0][(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 
@@ -84,26 +98,25 @@ std::size_t frame_wire_size(const Frame& frame) {
 
 std::string encode_frame(const Frame& frame) {
   REDOPT_REQUIRE(frame.payload.size() <= kMaxPayloadDoubles, "frame: payload too large to encode");
-  std::string out;
-  out.reserve(frame_wire_size(frame));
-  const std::size_t body_length = kHeaderSize + 8 * frame.payload.size() + kCrcSize;
-  put_u32(out, static_cast<std::uint32_t>(body_length));
-  out.push_back(static_cast<char>(kMagic0));
-  out.push_back(static_cast<char>(kMagic1));
-  out.push_back(static_cast<char>(kVersion));
-  out.push_back(static_cast<char>(frame.type));
-  put_u32(out, frame.agent);
-  put_u64(out, frame.round);
-  put_u64(out, frame.emitted);
-  put_u32(out, frame.hops);
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  for (double v : frame.payload) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(out, bits);
+  const std::size_t count = frame.payload.size();
+  const std::size_t body_length = kHeaderSize + 8 * count + kCrcSize;
+  std::string out(4 + body_length, '\0');
+  auto* p = reinterpret_cast<unsigned char*>(out.data());
+  put_u32(p, static_cast<std::uint32_t>(body_length));
+  unsigned char* body = p + 4;
+  body[0] = kMagic0;
+  body[1] = kMagic1;
+  body[2] = kVersion;
+  body[3] = static_cast<unsigned char>(frame.type);
+  put_u32(body + 4, frame.agent);
+  put_u64(body + 8, frame.round);
+  put_u64(body + 16, frame.emitted);
+  put_u32(body + 24, frame.hops);
+  put_u32(body + 28, static_cast<std::uint32_t>(count));
+  for (std::size_t k = 0; k < count; ++k) {
+    put_u64(body + kHeaderSize + 8 * k, std::bit_cast<std::uint64_t>(frame.payload[k]));
   }
-  const auto* body = reinterpret_cast<const unsigned char*>(out.data()) + 4;
-  put_u32(out, crc32(body, body_length - kCrcSize));
+  put_u32(body + body_length - kCrcSize, crc32(body, body_length - kCrcSize));
   return out;
 }
 
@@ -128,9 +141,8 @@ Frame decode_frame_body(const unsigned char* body, std::size_t size) {
   REDOPT_REQUIRE(stored_crc == crc32(body, size - kCrcSize), "frame: checksum mismatch");
 
   frame.payload.resize(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const std::uint64_t bits = get_u64(body + kHeaderSize + 8 * static_cast<std::size_t>(k));
-    std::memcpy(&frame.payload[k], &bits, sizeof(double));
+  for (std::size_t k = 0; k < count; ++k) {
+    frame.payload[k] = std::bit_cast<double>(get_u64(body + kHeaderSize + 8 * k));
   }
   // A telemetry frame's payload is a packed blob; its self-declared byte
   // count must agree with the payload size, or the frame is corrupt even

@@ -6,9 +6,10 @@
 // single-accumulator reference loop, so these tests assert EXACT double
 // equality, not tolerances.  Under -DREDOPT_FAST_KERNELS=ON the reduction
 // kernels reorder their sums, so those assertions relax to near-equality;
-// element-wise kernels stay exact in both modes.
+// element-wise and matrix kernels stay exact in both modes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -119,14 +120,26 @@ TEST(Kernels, ElementWiseKernelsAreExactInEveryMode) {
 }
 
 TEST(Kernels, MatvecMatchesRowWiseDots) {
-  const std::size_t rows = 9;
-  const std::size_t cols = 23;
-  const auto a = values(rows * cols, 70);
-  const auto x = values(cols, 71);
-  std::vector<double> out(rows);
-  kernels::matvec(a.data(), rows, cols, x.data(), out.data());
-  for (std::size_t i = 0; i < rows; ++i) {
-    expect_reduction(out[i], naive_dot(a.data() + i * cols, x.data(), cols));
+  // Strict in both builds.  The shapes straddle the eight-row interleave
+  // (empty, tails, exact multiples); exact zeros and an all -0.0 row
+  // catch any reordering or re-seeding of a row's accumulator.  Bit
+  // patterns are compared because -0.0 == 0.0.
+  for (std::size_t rows : {0u, 1u, 7u, 8u, 9u, 16u, 17u, 65u}) {
+    for (std::size_t cols : {0u, 1u, 2u, 63u, 64u, 65u}) {
+      auto a = values(rows * cols, 70 + 100 * rows + cols);
+      auto x = values(cols, 71 + cols);
+      for (std::size_t k = 0; k < a.size(); k += 5) a[k] = 0.0;
+      for (std::size_t j = 0; j < cols && rows > 0; ++j) a[j] = -0.0;
+      for (double& v : x) v = std::abs(v);
+      if (cols > 1) x[1] = 0.0;
+      std::vector<double> out(rows, 123.0);
+      kernels::matvec(a.data(), rows, cols, x.data(), out.data());
+      for (std::size_t i = 0; i < rows; ++i) {
+        const double reference = naive_dot(a.data() + i * cols, x.data(), cols);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]), std::bit_cast<std::uint64_t>(reference))
+            << rows << "x" << cols << " row " << i;
+      }
+    }
   }
 }
 

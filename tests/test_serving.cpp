@@ -500,6 +500,49 @@ TEST(Daemon, KillAndResumeProducesByteIdenticalManifests) {
   fs::remove_all(root);
 }
 
+TEST(Daemon, FinishedJobsReleaseTheirInstanceAndKeepAnswering) {
+  const std::string root = temp_dir("release");
+  fs::remove_all(root);
+  fs::create_directories(root);
+  serving::DaemonOptions options;
+  options.socket_path = root + "/r.sock";
+  options.state_dir = root + "/state";
+  options.scheduler.slice_rounds = 8;
+  serving::Daemon daemon(options);
+
+  const serving::JobSpec spec = make_job("freed", faulty_scenario(47));
+  const std::string submit = "{\"op\":\"submit\",\"job\":" + spec.to_json() + "}";
+  ASSERT_EQ(daemon.handle_request(submit), "{\"ok\":true,\"job\":\"freed\",\"state\":\"queued\"}");
+  ASSERT_NE(daemon.scheduler().built("freed"), nullptr);
+  while (!daemon.scheduler().idle()) daemon.poll_once();
+
+  // Once the manifest is written the daemon drops the instance ...
+  EXPECT_EQ(daemon.scheduler().built("freed"), nullptr);
+
+  // ... and every request about the job answers exactly as before.
+  EXPECT_EQ(daemon.handle_request("{\"op\":\"status\",\"job\":\"freed\"}"),
+            "{\"ok\":true,\"job\":\"freed\",\"state\":\"done\",\"rounds_done\":40,"
+            "\"rounds_total\":40}");
+  EXPECT_EQ(daemon.handle_request("{\"op\":\"list\"}"),
+            "{\"ok\":true,\"jobs\":[{\"job\":\"freed\",\"state\":\"done\",\"rounds_done\":40,"
+            "\"rounds_total\":40}]}");
+  EXPECT_EQ(daemon.handle_request(submit),
+            "{\"ok\":false,\"error\":\"job id already known: freed\"}");
+
+  // The manifest matches an in-process scheduler that never releases
+  // (and refuses to release a job that is not done).
+  serving::Scheduler replay(options.scheduler);
+  ASSERT_EQ(replay.submit(spec), "");
+  EXPECT_THROW(replay.release("freed"), PreconditionError);
+  while (!replay.idle()) replay.step(nullptr);
+  ASSERT_NE(replay.built("freed"), nullptr);
+  const std::string expected = telemetry::stable_json_projection(serving::job_manifest_json(
+      *replay.finished_checkpoint("freed"), *replay.built("freed"), 0.0));
+  EXPECT_EQ(daemon.handle_request("{\"op\":\"result\",\"job\":\"freed\"}"),
+            "{\"ok\":true,\"job\":\"freed\",\"manifest\":" + expected + "}");
+  fs::remove_all(root);
+}
+
 TEST(Daemon, HandleRequestTurnsEveryFailureIntoAStructuredError) {
   const std::string root = temp_dir("errors");
   fs::remove_all(root);

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/registry.h"
@@ -240,6 +241,38 @@ TEST_F(TelemetryTest, ResetZeroesValuesButKeepsRegistrations) {
   const auto* m = find_metric(snap, "h");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->count, 0u);
+}
+
+TEST_F(TelemetryTest, ShardCacheHoldsOnlyLiveRegistries) {
+  // A fresh thread, so no other registry sits in its cache.  Each
+  // destroyed registry leaves a dead entry until the next cache miss
+  // prunes it; without pruning the cache would hold all 10k.  A new
+  // registry often reuses a dead one's address, so each must still
+  // read back exactly its own increment.
+  std::size_t cached_after_churn = 0;
+  std::size_t cached_with_live = 0;
+  std::uint64_t live_value = 0;
+  int misattributed = 0;
+  std::thread worker([&] {
+    for (int i = 0; i < 10000; ++i) {
+      tel::Registry scratch;
+      const auto c = scratch.counter("c");
+      c.inc();
+      if (c.value() != 1) ++misattributed;
+    }
+    cached_after_churn = tel::Registry::thread_cache_size();
+    tel::Registry live;
+    const auto c = live.counter("c");
+    c.inc(3);
+    c.inc(4);
+    cached_with_live = tel::Registry::thread_cache_size();
+    live_value = c.value();
+  });
+  worker.join();
+  EXPECT_EQ(misattributed, 0);
+  EXPECT_LE(cached_after_churn, 1u);
+  EXPECT_EQ(cached_with_live, 1u);
+  EXPECT_EQ(live_value, 7u);
 }
 
 TEST_F(TelemetryTest, CountersAndHistogramsAreBitIdenticalAcrossThreadCounts) {

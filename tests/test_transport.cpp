@@ -6,6 +6,7 @@
 // reduction topology, with matching deterministic telemetry.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -323,6 +324,86 @@ TEST(FrameCodec, RejectsCorruption) {
   }
   // Trailing garbage.
   EXPECT_THROW(util::decode_frame(bytes + "x"), PreconditionError);
+}
+
+TEST(FrameCodec, Crc32MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(util::crc32(reinterpret_cast<const unsigned char*>(check.data()), check.size()),
+            0xcbf43926u);
+  EXPECT_EQ(util::crc32(nullptr, 0), 0u);
+}
+
+TEST(FrameCodec, Crc32MatchesABytewiseReferenceAtEveryLengthAndOffset) {
+  // The bit-at-a-time definition of the reflected IEEE CRC-32.
+  const auto reference = [](const unsigned char* data, std::size_t size) {
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+  };
+  std::vector<unsigned char> bytes(8 + 80);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  // Every start offset (unaligned loads) times every length up to ten
+  // eight-byte steps plus each possible tail.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 80; ++size) {
+      EXPECT_EQ(util::crc32(bytes.data() + offset, size), reference(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+namespace {
+
+std::string to_hex(const std::string& bytes) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xfu];
+  }
+  return hex;
+}
+
+}  // namespace
+
+TEST(FrameCodec, WireBytesArePinned) {
+  // Any change to these bytes is a wire-format break: every peer and
+  // every recorded frame would disagree with the new encoder.
+  util::Frame gradient;
+  gradient.type = util::FrameType::kGradient;
+  gradient.agent = 3;
+  gradient.round = 17;
+  gradient.emitted = 15;
+  gradient.hops = 2;
+  gradient.payload = {1.5, -0.0, 0.1, -2.75e-300};
+  const std::string gradient_hex =
+      "44000000524601020300000011000000000000000f0000000000000002000000040000000000000000"
+      "00f83f00000000000000809a9999999999b93f9a4e16ac6b77bd81a15b1312";
+  EXPECT_EQ(to_hex(util::encode_frame(gradient)), gradient_hex);
+
+  util::Frame telemetry;
+  telemetry.type = util::FrameType::kTelemetry;
+  telemetry.agent = util::kCoordinatorAgent;
+  telemetry.round = 0x0102030405060708ull;
+  telemetry.emitted = 9;
+  telemetry.payload = util::pack_blob("{\"op\":\"list\"}");
+  const std::string telemetry_hex =
+      "3c00000052460105ffffffff080706050403020109000000000000000000000003000000000000000000"
+      "2a407b226f70223a226c697374227d000000664604b8";
+  EXPECT_EQ(to_hex(util::encode_frame(telemetry)), telemetry_hex);
+
+  const util::Frame back = util::decode_frame(util::encode_frame(gradient));
+  ASSERT_EQ(back.payload.size(), gradient.payload.size());
+  EXPECT_EQ(to_hex(util::encode_frame(back)), gradient_hex);
+  EXPECT_TRUE(std::signbit(back.payload[1]));
+  EXPECT_EQ(util::unpack_blob(util::decode_frame(util::encode_frame(telemetry)).payload),
+            "{\"op\":\"list\"}");
 }
 
 // ---------------------------------------------------------------------------
