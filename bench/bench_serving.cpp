@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,8 +141,9 @@ void daemon_time_to_result(benchmark::State& state) {
       threads.emplace_back([&options, c, &lane = lanes[c]] {
         serving::Client client(options.socket_path);
         for (std::size_t k = 0; k < jobs_per_client; ++k) {
-          const std::string id =
-              "c" + std::to_string(c) + "-j" + std::to_string(k);
+          std::ostringstream id_stream;
+          id_stream << 'c' << c << "-j" << k;
+          const std::string id = id_stream.str();
           const auto begin = std::chrono::steady_clock::now();
           client.submit(bench_job(id, c * jobs_per_client + k));
           while (true) {

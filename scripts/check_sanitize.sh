@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Builds the concurrency-sensitive tests under a sanitizer and runs them
-# with the runtime fanned out (REDOPT_THREADS > 1), so data races in the
-# thread pool or the wired hot paths surface as hard failures.
+# Builds the suites listed in tests/sanitize_suites.txt (the list CI's
+# sanitizer legs select by label) under a sanitizer and runs them with
+# the runtime fanned out (REDOPT_THREADS > 1), so memory errors, UB and
+# data races in the thread pool or the wired hot paths surface as hard
+# failures.
 #
 #   scripts/check_sanitize.sh [thread|address,undefined] [threads]
 #
@@ -11,7 +13,7 @@ set -eu
 SANITIZE=${1:-thread}
 THREADS=${2:-4}
 BUILD="build-sanitize-${SANITIZE//,/-}"
-TESTS="test_runtime test_trainer test_async_trainer test_sgd test_telemetry test_chaos test_fuzz_io test_transport test_elastic test_analyze"
+TESTS=$(grep -v '^#' "$(dirname "$0")/../tests/sanitize_suites.txt" | tr '\n' ' ')
 
 cmake -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DREDOPT_SANITIZE="$SANITIZE"
 for t in $TESTS; do

@@ -66,7 +66,7 @@ std::shared_ptr<ElasticWorld> make_world(const chaos::Scenario& scenario) {
 
 using ExchangeFn =
     std::function<std::vector<util::Frame>(std::size_t round, const linalg::Vector& estimate)>;
-using CollectFn = std::function<std::vector<telemetry::AgentSnapshot>()>;
+using CollectFn = std::function<std::vector<transport::AgentBlob>()>;
 
 /// The shared coordinator core: both entry points run exactly this loop,
 /// differing only in how frames move (@p exchange) and how islands come
@@ -311,7 +311,11 @@ ElasticSession run_rounds(const chaos::Scenario& scenario, const ElasticOptions&
   result.estimate = x;
   result.final_distance = result.nonfinite ? std::numeric_limits<double>::infinity()
                                            : linalg::distance(x, built.reference);
-  session.agents = collect();
+  const std::vector<transport::AgentBlob> blobs = collect();
+  telemetry::ScopedSpan parse_span("telemetry.parse_islands");
+  for (const transport::AgentBlob& blob : blobs) {
+    session.agents.push_back(telemetry::parse_agent_snapshot(blob.blob));
+  }
   return session;
 }
 
@@ -350,13 +354,14 @@ ElasticSession run_elastic(const chaos::Scenario& scenario, const ElasticOptions
   // Same serialize → parse round trip the transports ship islands
   // through, so both paths surface byte-identical snapshots.
   CollectFn collect = [world, n]() {
-    std::vector<telemetry::AgentSnapshot> agents;
-    agents.reserve(n);
+    std::vector<transport::AgentBlob> blobs;
+    blobs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      agents.push_back(telemetry::parse_agent_snapshot(telemetry::serialize_agent_telemetry(
-          static_cast<std::uint32_t>(i), world->replicas[i].telemetry())));
+      const auto agent = static_cast<std::uint32_t>(i);
+      blobs.push_back(transport::AgentBlob{
+          agent, telemetry::serialize_agent_telemetry(agent, world->replicas[i].telemetry())});
     }
-    return agents;
+    return blobs;
   };
   return run_rounds(scenario, options, world->built, exchange, collect);
 }
@@ -387,13 +392,7 @@ ElasticSession run_elastic_transport(const chaos::Scenario& scenario,
   ExchangeFn exchange = [&transport](std::size_t round, const linalg::Vector& estimate) {
     return transport->exchange(round, estimate);
   };
-  CollectFn collect = [&transport]() {
-    std::vector<telemetry::AgentSnapshot> agents;
-    for (const transport::AgentBlob& blob : transport->collect_telemetry()) {
-      agents.push_back(telemetry::parse_agent_snapshot(blob.blob));
-    }
-    return agents;
-  };
+  CollectFn collect = [&transport]() { return transport->collect_telemetry(); };
   ElasticSession session = run_rounds(scenario, options, world->built, exchange, collect);
   session.transport = transport->stats();
   return session;

@@ -277,8 +277,12 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
   // coordinator (a dedicated kTelemetry sweep on the socket backend, a
   // direct call on the inproc one — both through the same serialize →
   // parse round trip) and reconcile the attribution ledger against it.
-  for (const AgentBlob& blob : transport->collect_telemetry()) {
-    session.agents.push_back(telemetry::parse_agent_snapshot(blob.blob));
+  const std::vector<AgentBlob> blobs = transport->collect_telemetry();
+  {
+    telemetry::ScopedSpan parse_span("telemetry.parse_islands");
+    for (const AgentBlob& blob : blobs) {
+      session.agents.push_back(telemetry::parse_agent_snapshot(blob.blob));
+    }
   }
   session.transport = transport->stats();
   session.attribution = attribution.build(result, session.transport, session.agents);

@@ -1,6 +1,7 @@
 // Robustness fuzzing for every input surface: regression instance
-// files, key = value configs, the JSON parser, chaos scenario files, and
-// the transport wire codec (the one binary format).
+// files, key = value configs, the JSON parser, chaos scenario files,
+// telemetry islands, and the transport wire codec (the one binary
+// format).
 // Each corpus starts from a valid document and applies seeded byte
 // mutations; the contract under test is "success or PreconditionError" —
 // parsers must never crash, hang, or silently misparse, no matter the
@@ -24,6 +25,9 @@
 #include "elastic/membership.h"
 #include "data/regression.h"
 #include "rng/rng.h"
+#include "telemetry/metrics.h"
+#include "telemetry/ship.h"
+#include "telemetry/span.h"
 #include "util/config.h"
 #include "util/error.h"
 #include "util/frame.h"
@@ -323,6 +327,126 @@ TEST(FuzzFrame, RejectsHostileLengthAndCount) {
   for (std::size_t k = 0; k < 4; ++k) bytes[count_offset + k] = static_cast<char>(0xff);
   EXPECT_THROW(util::decode_frame(bytes), PreconditionError);
   EXPECT_THROW(util::decode_frame(std::string()), PreconditionError);
+}
+
+namespace {
+
+/// A real agent island holding every record shape the island reader
+/// handles: a counter, a gauge, a kUnstable counter (value under "nd"),
+/// a histogram with min and max, nested spans with typed attributes,
+/// instants with and without "unstable":true, and a string attribute
+/// that needs escapes.
+std::string valid_island_blob() {
+  telemetry::AgentTelemetry island;
+  island.registry.counter("replica.rounds").inc(12);
+  island.registry.gauge("replica.step").set(0.125);
+  island.registry.counter("replica.retries", telemetry::Determinism::kUnstable).inc(3);
+  const auto norm = island.registry.histogram("replica.gradient_norm",
+                                              telemetry::BucketLayout::exponential(1e-3, 4.0, 6));
+  norm.observe(0.5);
+  norm.observe(7.25);
+  {
+    telemetry::ScopedSpan round(island.spans, "replica.round");
+    round.attr("round", telemetry::Value(std::uint64_t{3}))
+        .attr("offset", telemetry::Value(std::int64_t{-2}))
+        .attr("scale", telemetry::Value(0.1))
+        .attr("faulty", telemetry::Value(true))
+        .attr("note", telemetry::Value(std::string("say \"hi\"\n\t\\ \x01")));
+    telemetry::ScopedSpan send(island.spans, "replica.send");
+    send.attr("bytes", telemetry::Value(std::uint64_t{544}));
+    island.spans.instant("replica.dropped", {{"t", telemetry::Value(std::int64_t{3})}});
+    island.spans.instant("replica.retry", {{"link", telemetry::Value(std::string("3->1"))}},
+                         telemetry::Determinism::kUnstable);
+  }
+  return telemetry::serialize_agent_telemetry(5, island);
+}
+
+/// @p text with its first @p from replaced by @p to; fails the test when
+/// @p from is absent, so a stale pattern cannot pass vacuously.
+std::string with_replaced(const std::string& text, const std::string& from,
+                          const std::string& to) {
+  const std::size_t at = text.find(from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "pattern not in the island: " << from;
+    return text;
+  }
+  return text.substr(0, at) + to + text.substr(at + from.size());
+}
+
+}  // namespace
+
+TEST(FuzzIsland, ValidIslandRoundTrips) {
+  const std::string base = valid_island_blob();
+  const telemetry::AgentSnapshot parsed = telemetry::parse_agent_snapshot(base);
+  EXPECT_EQ(parsed.agent, 5u);
+  ASSERT_EQ(parsed.metrics.size(), 4u);
+  ASSERT_EQ(parsed.spans.size(), 2u);
+  ASSERT_EQ(parsed.instants.size(), 2u);
+  EXPECT_EQ(parsed.instants[1].determinism, telemetry::Determinism::kUnstable);
+  EXPECT_EQ(telemetry::serialize_agent_snapshot(parsed), base);
+}
+
+TEST(FuzzIsland, MutatedIslandsParseOrRejectAndReserializeStably) {
+  // The socket backend hands the reader bytes from another process.  A
+  // mutant either raises PreconditionError or parses; one that parses
+  // must re-serialize to a blob that is a fixed point of parse → serialize.
+  const std::string base = valid_island_blob();
+  std::size_t parsed = 0;
+  const auto round_trip = [&parsed](const std::string& text) {
+    const std::string once =
+        telemetry::serialize_agent_snapshot(telemetry::parse_agent_snapshot(text));
+    ++parsed;
+    try {
+      EXPECT_EQ(telemetry::serialize_agent_snapshot(telemetry::parse_agent_snapshot(once)), once);
+    } catch (const PreconditionError& e) {
+      ADD_FAILURE() << "a re-serialized island was rejected: " << e.what();
+    }
+  };
+  fuzz_corpus(base, 1201, round_trip);
+  fuzz_corpus(base, 1202, round_trip);
+  EXPECT_GT(parsed, 0u);  // the round-trip property was exercised
+}
+
+TEST(FuzzIsland, RejectsDocumentsTheSerializerDoesNotWrite) {
+  const std::string base = valid_island_blob();
+  ASSERT_EQ(base.rfind("{\"v\":1,\"agent\":5,\"spans_dropped\":0,", 0), 0u);
+  const std::vector<std::string> hostile = {
+      // Reordered, missing and duplicated members.
+      with_replaced(base, "{\"v\":1,\"agent\":5,", "{\"agent\":5,\"v\":1,"),
+      with_replaced(base, "\"id\":1,\"parent\":0,", "\"parent\":0,\"id\":1,"),
+      with_replaced(base, ",\"spans_dropped\":0", ""),
+      with_replaced(base, ",\"closed\":true", ""),
+      with_replaced(base, "{\"v\":1,", "{\"v\":1,\"v\":1,"),
+      with_replaced(base, "\"closed\":true", "\"closed\":true,\"closed\":true"),
+      with_replaced(base, "\"id\":1,", "\"id\":1,\"extra\":0,"),
+      // Trailing bytes.
+      base + "x",
+      base + "{}",
+      // Wrong value types.
+      with_replaced(base, "\"agent\":5", "\"agent\":\"5\""),
+      with_replaced(base, "\"closed\":true", "\"closed\":1"),
+      with_replaced(base, "\"spans\":[", "\"spans\":{\"x\":["),
+      with_replaced(base, "\"round\":3", "\"round\":[3]"),
+      with_replaced(base, "\"kind\":\"gauge\"", "\"kind\":\"meter\""),
+      with_replaced(base, "\"unstable\":true", "\"unstable\":false"),
+      // Negative, fractional and out-of-range integers.
+      with_replaced(base, "\"id\":1,", "\"id\":-1,"),
+      with_replaced(base, "\"id\":1,", "\"id\":1.5,"),
+      with_replaced(base, "\"agent\":5", "\"agent\":4294967296"),
+      with_replaced(base, "\"spans_dropped\":0", "\"spans_dropped\":9223372036854775808"),
+      // A bucket count that differs from the bound count.
+      with_replaced(base, "\"buckets\":[0,", "\"buckets\":["),
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    EXPECT_THROW(telemetry::parse_agent_snapshot(hostile[i]), PreconditionError)
+        << "case " << i << ": " << hostile[i];
+  }
+  // The largest 32-bit agent is still in range; whitespace between
+  // tokens is not a different document.
+  const std::string last_agent = with_replaced(base, "\"agent\":5", "\"agent\":4294967295");
+  EXPECT_EQ(telemetry::parse_agent_snapshot(last_agent).agent, 4294967295u);
+  const std::string spaced = " " + with_replaced(base, ":[", ": [ ") + "\n";
+  EXPECT_EQ(telemetry::serialize_agent_snapshot(telemetry::parse_agent_snapshot(spaced)), base);
 }
 
 namespace {

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,7 +147,7 @@ TEST(JobSpec, RoundTripsThroughJsonBitExactly) {
 }
 
 TEST(JobSpec, RejectsIdsThatCannotNameStateFiles) {
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string(""), std::string("has space"), std::string("a/b"), std::string(".hidden"),
         std::string(101, 'x')}) {
     serving::JobSpec spec = make_job(bad, clean_scenario(1));
@@ -190,6 +191,29 @@ TEST(Checkpoint, RoundTripsThroughJsonBitExactly) {
   EXPECT_EQ(back.counters, ck.counters);
   EXPECT_EQ(back.pending.size(), ck.pending.size());
   expect_bytes_equal(back.x, ck.x);
+}
+
+TEST(Checkpoint, SubnormalValuesRoundTripBitExactly) {
+  // json_number writes subnormals with 17 significant digits; the reader
+  // must take them back, or a checkpoint holding one could not resume.
+  const serving::JobSpec spec = make_job("ck", faulty_scenario(11));
+  const chaos::MaterializedScenario built = chaos::materialize_scenario(spec.scenario);
+  serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
+  serving::SliceContext ctx;
+  ctx.built = &built;
+  serving::run_job_slice(ck, 17, ctx);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double subnormals[] = {tiny, -tiny, 1e-310, -1e-310};
+  for (std::size_t i = 0; i < ck.x.size(); ++i) ck.x[i] = subnormals[i % 4];
+  ASSERT_GE(ck.history.size(), 2u);
+  ck.history.front() = ck.x;  // the window's newest entry is the iterate
+  for (std::size_t i = 0; i < ck.history[1].size(); ++i) ck.history[1][i] = subnormals[(i + 2) % 4];
+
+  const std::string json = ck.to_json();
+  const serving::JobCheckpoint back = serving::checkpoint_from_json(json);
+  EXPECT_EQ(back.to_json(), json);
+  expect_bytes_equal(back.x, ck.x);
+  expect_bytes_equal(back.history[1], ck.history[1]);
 }
 
 TEST(Checkpoint, ParserRejectsHostileDocuments) {
@@ -552,7 +576,7 @@ TEST(Daemon, HandleRequestTurnsEveryFailureIntoAStructuredError) {
   options.state_dir = root + "/state";
   serving::Daemon daemon(options);
 
-  for (const std::string request :
+  for (const std::string& request :
        {std::string("{\"op\":\"nope\"}"), std::string("not json at all"),
         std::string("{\"op\":\"status\",\"job\":\"ghost\"}"),
         std::string("{\"op\":\"result\",\"job\":\"ghost\"}"),

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "attacks/registry.h"
@@ -33,8 +34,9 @@ struct GridPoint {
 
 std::string grid_name(const testing::TestParamInfo<GridPoint>& info) {
   const auto& p = info.param;
-  return "n" + std::to_string(p.n) + "_f" + std::to_string(p.f) + "_d" + std::to_string(p.d) +
-         "_" + p.attack + "_s" + std::to_string(p.seed);
+  std::ostringstream name;
+  name << 'n' << p.n << "_f" << p.f << "_d" << p.d << '_' << p.attack << "_s" << p.seed;
+  return name.str();
 }
 
 std::vector<GridPoint> theorem4_grid() {

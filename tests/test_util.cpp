@@ -1,12 +1,16 @@
 // Unit tests for util: CSV writer, table printer, CLI parser, subsets.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 
+#include "rng/rng.h"
 #include "util/cli.h"
 #include "util/config.h"
 #include "util/csv.h"
@@ -227,6 +231,79 @@ TEST(Json, NumberNonFiniteBecomesNull) {
   EXPECT_EQ(ru::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
   EXPECT_EQ(ru::json_number(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(ru::json_number(-std::numeric_limits<double>::infinity()), "null");
+}
+
+namespace {
+
+/// The spelling json_number promises, through printf: "null" for
+/// non-finite values, %.0f for integral values below 1e15 in magnitude,
+/// %.17g for everything else.
+std::string printf_json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::uint64_t to_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+}  // namespace
+
+TEST(Json, NumberMatchesPrintfOnSeededBitPatterns) {
+  // Four draws per iteration: any bit pattern (NaN and infinity
+  // included), a subnormal of either sign, an integer of magnitude up to
+  // 1e15 (both sides of the integral branch's bound), and a short
+  // decimal fraction.
+  redopt::rng::Rng rng(2024);
+  std::size_t mismatches = 0;
+  std::string appended;
+  const auto check = [&](double v) {
+    const std::string expected = printf_json_number(v);
+    appended.clear();
+    ru::append_json_number(appended, v);
+    if (ru::json_number(v) != expected || appended != expected) {
+      if (++mismatches <= 5) ADD_FAILURE() << "bits " << to_bits(v) << ": " << expected;
+    }
+  };
+  for (int i = 0; i < 250000; ++i) {
+    check(from_bits(rng.next_u64()));
+    check(from_bits(rng.next_u64() & 0x800FFFFFFFFFFFFFULL));
+    check(static_cast<double>(rng.uniform_int(-1000000000000001, 1000000000000001)));
+    check(static_cast<double>(rng.uniform_int(-100000, 100000)) / 1000.0);
+  }
+  using limits = std::numeric_limits<double>;
+  for (double v : {0.0, -0.0, 1e15, -1e15, 999999999999999.0, 1e15 - 0.5}) check(v);
+  for (double v : {limits::denorm_min(), limits::min(), limits::max(), limits::lowest()}) check(v);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(ru::json_number(-0.0), "-0");
+}
+
+TEST(Json, ParseReadsBackSubnormalsBitForBit) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (double v : {tiny, -tiny, 1e-310, -1e-310}) {
+    const ru::JsonValue parsed = ru::json_parse(ru::json_number(v));
+    EXPECT_EQ(to_bits(parsed.as_number()), to_bits(v)) << ru::json_number(v);
+  }
+  // Overflow and underflow to zero stay errors; an exact zero does not.
+  EXPECT_THROW(ru::json_parse("1e999"), redopt::PreconditionError);
+  EXPECT_THROW(ru::json_parse("-1e999"), redopt::PreconditionError);
+  EXPECT_THROW(ru::json_parse("1e-400"), redopt::PreconditionError);
+  EXPECT_THROW(ru::json_parse("-1e-400"), redopt::PreconditionError);
+  EXPECT_EQ(ru::json_parse("0e-400").as_number(), 0.0);
 }
 
 // ---------------------------------------------------------------- Stopwatch
