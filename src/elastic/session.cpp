@@ -334,8 +334,9 @@ ElasticSession run_elastic(const chaos::Scenario& scenario, const ElasticOptions
   // would scatter one replica's histogram observations across shards by
   // scheduling accident and the merged float sums would wobble in the
   // last ulp — breaking the manifest byte-identity the oracle anchors.
-  // Real parallelism lives in the transport backends, where each agent
-  // owns a dedicated thread (or process) and its island a single shard.
+  // The inproc transport runs its agents one after another as well; real
+  // parallelism lives in the socket backend, where each agent owns a
+  // dedicated process and its island a single shard.
   ExchangeFn exchange = [world, n](std::size_t round, const linalg::Vector& estimate) {
     std::vector<std::vector<util::Frame>> slots(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -399,10 +400,10 @@ ElasticSession run_elastic_transport(const chaos::Scenario& scenario,
 }
 
 std::string elastic_manifest_json(const ElasticSession& session) {
-  // net.* belongs to the inproc backend's internal SyncNetwork substrate,
-  // which the socket backend replaces wholesale; the elastic manifest is
-  // the document both backends must agree on byte for byte, so the
-  // substrate's private counters stay out of it.
+  // The registry is process-wide: a process that also ran a net::
+  // protocol still has net.* registered.  The elastic manifest is the
+  // document both backends must agree on byte for byte, so those
+  // counters stay out of it.
   telemetry::Snapshot coordinator;
   for (telemetry::MetricValue& m : telemetry::registry().snapshot()) {
     if (m.name.rfind("net.", 0) == 0) continue;

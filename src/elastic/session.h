@@ -88,9 +88,9 @@ ElasticSession run_elastic_transport(const chaos::Scenario& scenario,
                                      const ElasticOptions& options = {});
 
 /// The unified telemetry manifest of a finished elastic session —
-/// registry snapshot (minus the inproc substrate's net.* counters) plus
-/// every shipped island; byte-identical across backends and thread
-/// counts after telemetry::stable_json_projection.
+/// registry snapshot (minus net.*, which only a net:: protocol run in the
+/// same process registers) plus every shipped island; byte-identical
+/// across backends and thread counts after telemetry::stable_json_projection.
 std::string elastic_manifest_json(const ElasticSession& session);
 
 /// Chrome trace-event JSON (Perfetto-loadable): the coordinator's global

@@ -42,6 +42,10 @@ void AttributionBuilder::on_exchange(const std::vector<util::Frame>& frames) {
     ++row.frames_delivered;
     row.bytes_up += wire * frame.hops;
     hops_total_ += frame.hops;
+    // A delivered frame crosses its emitter's whole path on both
+    // backends (a dead relay loses frames, never shortens them); a short
+    // hops field would still balance every byte total below.
+    if (frame.hops != depth_of(topology_, frame.agent, n_)) full_paths_ = false;
     // Walk the ancestor chain: the frame crossed its emitter's parent
     // edge, then that node's parent edge, ... — frame.hops edges total.
     std::size_t node = frame.agent;
@@ -119,7 +123,8 @@ AttributionReport AttributionBuilder::build(
   const std::uint64_t bytes_down_total = exchanges_ * n_ * estimate_wire;
 
   report.frames_reconcile = exchanges_ == stats.exchanges &&
-                            frames_total == stats.frames_delivered && link_frames == hops_total_;
+                            frames_total == stats.frames_delivered &&
+                            link_frames == hops_total_ && full_paths_;
   report.bytes_reconcile = bytes_up_total + bytes_down_total == stats.bytes_on_wire &&
                            link_bytes == stats.bytes_on_wire;
 

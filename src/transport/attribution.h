@@ -75,13 +75,15 @@ struct AttributionReport {
   std::vector<AgentAttribution> agents;  ///< ascending by agent id
   std::vector<LinkAttribution> links;    ///< ascending by child id
   std::uint64_t exchanges = 0;
-  /// Modeled sync-network message count: one estimate delivery per agent
-  /// per exchange plus one delivery per gradient-frame hop — equals the
-  /// inproc backend's NetworkStats::messages_delivered.
+  /// The reduction tree's modeled point-to-point message count: one
+  /// estimate delivery per agent per exchange plus one delivery per
+  /// gradient-frame hop.
   std::uint64_t network_messages = 0;
   TransportStats stats;
 
-  bool frames_reconcile = false;  ///< per-agent and per-link frame totals == stats
+  /// Per-agent and per-link frame totals == stats, and every frame's
+  /// hops equals its emitter's topology depth.
+  bool frames_reconcile = false;
   bool bytes_reconcile = false;   ///< per-agent + per-link byte totals == stats
   bool fates_reconcile = false;   ///< replayed fate totals == ScenarioResult counters
   bool agents_reconcile = false;  ///< every shipped island matches its replay
@@ -120,6 +122,7 @@ class AttributionBuilder {
   std::size_t estimate_dim_;
   std::uint64_t exchanges_ = 0;
   std::uint64_t hops_total_ = 0;
+  bool full_paths_ = true;  ///< every booked frame's hops == depth_of(its agent)
   std::vector<AgentAttribution> agents_;
   std::vector<LinkAttribution> links_;  ///< links_[child] is child's parent edge
   /// Due rounds of delayed replies, per agent — a delayed reply counts

@@ -1,6 +1,5 @@
 #include "transport/inproc_transport.h"
 
-#include <cstring>
 #include <utility>
 
 #include "telemetry/span.h"
@@ -8,107 +7,17 @@
 
 namespace redopt::transport {
 
-namespace {
-
-constexpr const char* kFrameTag = "frame";
-
-/// The frame-in-message envelope rides util::pack_blob: encoded frame
-/// bytes become a Message payload whose doubles are never used
-/// arithmetically — the payload is just a byte carrier.
-std::string unpack_bytes(const linalg::Vector& payload) {
-  return util::unpack_blob(payload.data());
-}
-
-net::Message make_frame_message(std::size_t to, const std::string& bytes) {
-  net::Message message;
-  message.to = to;
-  message.tag = kFrameTag;
-  message.payload = linalg::Vector(util::pack_blob(bytes));
-  return message;
-}
-
-}  // namespace
-
-/// One agent: relays the estimate down and gradient frames up its tree
-/// edges, and runs the emission callback when the estimate arrives.
-class InprocTransport::AgentNode : public net::Node {
- public:
-  AgentNode(InprocTransport* owner, std::size_t agent, std::size_t n)
-      : owner_(owner), agent_(agent) {
-    const std::size_t parent = parent_of(owner->topology(), agent, n);
-    parent_node_ = parent == kCoordinatorNode ? n : parent;
-    children_ = children_of(owner->topology(), agent, n);
-  }
-
-  std::vector<net::Message> on_round(std::size_t /*round*/,
-                                     const std::vector<net::Message>& inbox) override {
-    std::vector<net::Message> out;
-    for (const net::Message& message : inbox) {
-      const std::string bytes = unpack_bytes(message.payload);
-      util::Frame frame = util::decode_frame(bytes);
-      if (frame.type == util::FrameType::kEstimate) {
-        for (std::size_t child : children_) out.push_back(make_frame_message(child, bytes));
-        const linalg::Vector estimate(frame.payload);
-        for (const util::Frame& emitted : owner_->agent_fn_(agent_, frame.round, estimate)) {
-          out.push_back(make_frame_message(parent_node_, util::encode_frame(emitted)));
-        }
-      } else if (frame.type == util::FrameType::kGradient) {
-        ++frame.hops;  // one more edge on the way up
-        out.push_back(make_frame_message(parent_node_, util::encode_frame(frame)));
-      }
-    }
-    return out;
-  }
-
- private:
-  InprocTransport* owner_;
-  std::size_t agent_;
-  std::size_t parent_node_;
-  std::vector<std::size_t> children_;
-};
-
-/// The coordinator endpoint: emits the queued estimate frames at the
-/// start of an exchange and collects the gradient frames that bubble up.
-class InprocTransport::RootNode : public net::Node {
- public:
-  void queue(std::vector<net::Message> messages) { queued_ = std::move(messages); }
-
-  std::vector<net::Message> on_round(std::size_t /*round*/,
-                                     const std::vector<net::Message>& inbox) override {
-    for (const net::Message& message : inbox) {
-      util::Frame frame = util::decode_frame(unpack_bytes(message.payload));
-      if (frame.type == util::FrameType::kGradient) collected_.push_back(std::move(frame));
-    }
-    return std::exchange(queued_, {});
-  }
-
-  std::vector<util::Frame> take() { return std::exchange(collected_, {}); }
-
- private:
-  std::vector<net::Message> queued_;
-  std::vector<util::Frame> collected_;
-};
-
 InprocTransport::InprocTransport(Topology topology, std::size_t n, AgentFn agent_fn,
                                  TelemetryFn telemetry_fn)
     : Transport(topology, n),
       agent_fn_(std::move(agent_fn)),
       telemetry_fn_(std::move(telemetry_fn)) {
   REDOPT_REQUIRE(n >= 1, "inproc transport: need at least one agent");
-  std::vector<net::Node*> nodes;
-  nodes.reserve(n + 1);
+  relay_edges_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    agents_.push_back(std::make_unique<AgentNode>(this, i, n));
-    nodes.push_back(agents_.back().get());
+    relay_edges_.push_back(static_cast<std::uint32_t>(depth_of(topology, i, n) - 1));
   }
-  root_ = std::make_unique<RootNode>();
-  nodes.push_back(root_.get());
-  network_ = std::make_unique<net::SyncNetwork>(std::move(nodes));
 }
-
-InprocTransport::~InprocTransport() = default;
-
-const net::NetworkStats& InprocTransport::network_stats() const { return network_->stats(); }
 
 std::vector<AgentBlob> InprocTransport::collect_telemetry() {
   telemetry::ScopedSpan span("transport.collect_telemetry");
@@ -131,18 +40,21 @@ std::vector<util::Frame> InprocTransport::exchange(std::size_t round,
   down.round = round;
   down.emitted = round;
   down.payload = estimate.data();
-  const std::string bytes = util::encode_frame(down);
+  // The estimate crosses the codec once; relays forward the same bytes,
+  // so every agent sees this one decoded copy.
+  util::Frame received = util::decode_frame(util::encode_frame(down));
+  const linalg::Vector agent_estimate(std::move(received.payload));
 
-  std::vector<net::Message> messages;
-  for (std::size_t child : children_of(topology(), kCoordinatorNode, num_agents())) {
-    messages.push_back(make_frame_message(child, bytes));
+  std::vector<util::Frame> frames;
+  for (std::size_t agent = 0; agent < num_agents(); ++agent) {
+    for (const util::Frame& emitted : agent_fn_(agent, received.round, agent_estimate)) {
+      // Relays and the root drop every other frame type.
+      if (emitted.type != util::FrameType::kGradient) continue;
+      util::Frame frame = util::decode_frame(util::encode_frame(emitted));
+      frame.hops += relay_edges_[agent];
+      frames.push_back(std::move(frame));
+    }
   }
-  root_->queue(std::move(messages));
-
-  const std::size_t network_rounds = 2 * max_depth(topology(), num_agents()) + 1;
-  for (std::size_t k = 0; k < network_rounds; ++k) network_->run_round();
-
-  std::vector<util::Frame> frames = root_->take();
   finish_exchange(frames, estimate.size());
   return frames;
 }

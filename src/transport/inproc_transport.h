@@ -1,18 +1,19 @@
 // In-process deterministic transport backend — the test oracle.
 //
-// Wraps net::SyncNetwork: the coordinator and the n agents are plain
-// net::Node participants, encoded frames ride inside Message payloads,
-// and one exchange() runs exactly 2 * max_depth + 1 lock-step network
-// rounds (the estimate walks down the tree one edge per round, gradient
-// frames walk back up one edge per round).  Everything is synchronous
-// and single-process, so this backend is bit-reproducible by
-// construction; the socket backend must match it frame for frame.
+// One exchange() is a direct walk of the topology on the caller's
+// thread: the estimate frame crosses the wire codec once, every agent's
+// AgentFn runs on the decoded estimate in ascending agent id (the order
+// a level-by-level walk visits star, chain and the heap-numbered tree),
+// and each emitted gradient frame crosses the codec once and arrives
+// with its hops advanced by the relay edges between its emitter and the
+// coordinator.  Everything is synchronous and single-process, so this
+// backend is bit-reproducible by construction; the socket backend must
+// match it frame for frame.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "net/sync_network.h"
 #include "transport/transport.h"
 
 namespace redopt::transport {
@@ -21,7 +22,6 @@ class InprocTransport : public Transport {
  public:
   InprocTransport(Topology topology, std::size_t n, AgentFn agent_fn,
                   TelemetryFn telemetry_fn = {});
-  ~InprocTransport() override;
 
   std::vector<util::Frame> exchange(std::size_t round, const linalg::Vector& estimate) override;
   std::string name() const override { return "inproc"; }
@@ -31,18 +31,12 @@ class InprocTransport : public Transport {
   /// round trip the socket backend ships over the wire.
   std::vector<AgentBlob> collect_telemetry() override;
 
-  /// The wrapped network's traffic counters.
-  const net::NetworkStats& network_stats() const;
-
  private:
-  class AgentNode;
-  class RootNode;
-
   AgentFn agent_fn_;
   TelemetryFn telemetry_fn_;
-  std::vector<std::unique_ptr<AgentNode>> agents_;
-  std::unique_ptr<RootNode> root_;
-  std::unique_ptr<net::SyncNetwork> network_;
+  /// Per agent: relay edges above it, depth_of(agent) - 1 — the hops a
+  /// frame gains between its emitter's parent link and the coordinator.
+  std::vector<std::uint32_t> relay_edges_;
 };
 
 }  // namespace redopt::transport

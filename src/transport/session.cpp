@@ -286,18 +286,14 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
   }
   session.transport = transport->stats();
   session.attribution = attribution.build(result, session.transport, session.agents);
-  if (const auto* inproc = dynamic_cast<const InprocTransport*>(transport.get())) {
-    session.network = inproc->network_stats();
-    session.has_network = true;
-  }
   return session;
 }
 
 std::string session_manifest_json(const ScenarioSession& session) {
-  // net.* belongs to the inproc backend's internal SyncNetwork substrate,
-  // which the socket backend replaces wholesale; the session-level
-  // manifest is the document both backends must agree on byte for byte,
-  // so the substrate's private counters stay out of it.
+  // The registry is process-wide: a process that also ran a net::
+  // protocol still has net.* registered.  The session-level manifest is
+  // the document both backends must agree on byte for byte, so those
+  // counters stay out of it.
   telemetry::Snapshot coordinator;
   for (telemetry::MetricValue& m : telemetry::registry().snapshot()) {
     if (m.name.rfind("net.", 0) == 0) continue;

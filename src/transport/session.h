@@ -26,7 +26,6 @@
 #include "chaos/executor.h"
 #include "chaos/scenario.h"
 #include "dgd/trainer.h"
-#include "net/sync_network.h"
 #include "telemetry/ship.h"
 #include "transport/attribution.h"
 #include "transport/socket_transport.h"
@@ -69,9 +68,6 @@ struct ScenarioSession {
   std::vector<telemetry::AgentSnapshot> agents;
   /// The reconciled fault-attribution report (attribution.h).
   AttributionReport attribution;
-  /// Wrapped sync-network counters — inproc backend only.
-  net::NetworkStats network;
-  bool has_network = false;
 };
 
 /// The unified telemetry manifest of a finished session: the process-wide

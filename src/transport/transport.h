@@ -9,9 +9,9 @@
 // windows, Byzantine attacks, stragglers, channel drop/duplicate/delay —
 // lives in the AgentFn callback (see agent_replica.h), which is shared
 // verbatim by both backends.  That split is what makes the cross-backend
-// contract testable: the in-process backend (inproc_transport.h, over
-// net::SyncNetwork) is the oracle, the socket backend
-// (socket_transport.h, fork + socketpair) must match it frame for frame.
+// contract testable: the in-process backend (inproc_transport.h) is the
+// oracle, the socket backend (socket_transport.h, fork + socketpair)
+// must match it frame for frame.
 #pragma once
 
 #include <cstdint>

@@ -78,8 +78,7 @@ std::size_t frame_wire_size_for(std::size_t payload_doubles);
 /// Packs raw bytes into a frame payload: entry 0 carries the byte count,
 /// the remaining entries carry the bytes verbatim, 8 per double (the
 /// doubles are never used arithmetically — memcpy in, memcpy out, so the
-/// bits survive the codec exactly).  Used by kTelemetry frames and by the
-/// inproc transport's frame-in-message envelope.
+/// bits survive the codec exactly).  Used by kTelemetry frames.
 std::vector<double> pack_blob(const std::string& bytes);
 
 /// Inverse of pack_blob.  Throws PreconditionError when the declared

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/scenario.h"
@@ -347,10 +348,75 @@ TEST(Attribution, ReportReconcilesOnBothBackends) {
   }
 }
 
-TEST(Attribution, NetworkMessageModelMatchesInprocSyncNetwork) {
-  const StableArtifacts run = run_pinned(opts(transport::BackendKind::kInproc));
-  ASSERT_TRUE(run.session.has_network);
-  EXPECT_EQ(run.session.attribution.network_messages, run.session.network.messages_delivered);
+TEST(Attribution, NetworkMessagesFollowTheReductionTreeClosedForm) {
+  // Fault- and channel-free, every agent delivers one frame per round,
+  // so each round models n estimate deliveries plus one message per
+  // tree edge each frame crosses: T * (n + sum of depths).  At n = 8
+  // that sum is 8 on the star, 36 on the chain and 21 on the tree.
+  chaos::Scenario s = faulty_scenario();
+  s.name = "observability-clean";
+  s.faults.clear();
+  s.channel = {};
+  const std::uint64_t rounds = s.rounds;
+  const std::pair<transport::Topology, std::uint64_t> per_round[] = {
+      {transport::Topology::kStar, 16}, {transport::Topology::kChain, 44},
+      {transport::Topology::kTree, 29}};
+  for (const auto& [topology, messages] : per_round) {
+    for (const auto backend : {transport::BackendKind::kInproc, transport::BackendKind::kSocket}) {
+      reset_telemetry();
+      const transport::ScenarioSession session =
+          transport::run_scenario_transport(s, opts(backend, topology));
+      const std::string label =
+          transport::to_string(backend) + "/" + transport::to_string(topology);
+      EXPECT_TRUE(session.attribution.ok()) << label;
+      EXPECT_EQ(session.attribution.exchanges, rounds) << label;
+      EXPECT_EQ(session.attribution.network_messages, rounds * messages) << label;
+    }
+  }
+}
+
+TEST(Attribution, FrameShortOfItsPathDoesNotReconcile) {
+  // Per-agent bytes, per-link bytes and TransportStats all follow the
+  // frame's hops field, so a frame booked short of its path would still
+  // balance every total while the upper edges of that path read empty.
+  // A delivered frame always crosses its emitter's full path on both
+  // backends (a dead relay loses the subtree's frames instead), so the
+  // reconcile gate pins hops to the topology depth.
+  const transport::Topology topology = transport::Topology::kTree;
+  const std::size_t n = 7;
+  const std::size_t dim = 2;
+  const std::uint32_t agent = 5;  // path 5 -> 2 -> 0 -> coordinator
+  ASSERT_EQ(transport::depth_of(topology, agent, n), 3u);
+
+  const auto report_for = [&](std::uint32_t hops) {
+    util::Frame frame;
+    frame.agent = agent;
+    frame.hops = hops;
+    frame.payload = {1.0, -2.0};
+    transport::AttributionBuilder builder(topology, n, dim);
+    builder.on_exchange({frame});
+    // The stats a backend would book for exactly this delivery.
+    transport::TransportStats stats;
+    stats.exchanges = 1;
+    stats.frames_delivered = 1;
+    stats.bytes_on_wire =
+        n * util::frame_wire_size_for(dim) + std::uint64_t{util::frame_wire_size(frame)} * hops;
+    return builder.build(chaos::ScenarioResult{}, stats, {});
+  };
+
+  const transport::AttributionReport full = report_for(3);
+  EXPECT_TRUE(full.frames_reconcile);
+  EXPECT_TRUE(full.bytes_reconcile);
+  EXPECT_TRUE(full.ok());
+  for (const std::size_t child : {5u, 2u, 0u}) {
+    EXPECT_EQ(full.links[child].frames_up, 1u) << "link into " << child;
+  }
+
+  const transport::AttributionReport short_of_path = report_for(1);
+  EXPECT_EQ(short_of_path.links[2].frames_up, 0u);
+  EXPECT_EQ(short_of_path.links[0].frames_up, 0u);
+  EXPECT_FALSE(short_of_path.frames_reconcile);
+  EXPECT_FALSE(short_of_path.ok());
 }
 
 TEST(Attribution, ReportRendersDeterministicTextAndJson) {

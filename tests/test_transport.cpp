@@ -6,8 +6,10 @@
 // reduction topology, with matching deterministic telemetry.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "telemetry/metrics.h"
 #include "transport/agent_replica.h"
 #include "transport/channel.h"
+#include "transport/inproc_transport.h"
 #include "transport/session.h"
 #include "transport/socket_transport.h"
 #include "transport/topology.h"
@@ -163,10 +166,9 @@ std::vector<chaos::Scenario> pinned_suite() {
 }
 
 /// Stable (bit-identity-covered) chaos.* / transport.* counters from the
-/// global registry.  net.* is deliberately out of scope: it belongs to
-/// the inproc backend's internal SyncNetwork substrate, which the socket
-/// backend replaces wholesale — the session-level manifest is what both
-/// backends must agree on.
+/// global registry — the session-level counters both backends must agree
+/// on.  The registry is process-wide, so anything else in it (net.* from
+/// the net:: protocols this binary also runs) is out of scope.
 std::map<std::string, std::uint64_t> session_manifest() {
   std::map<std::string, std::uint64_t> manifest;
   for (const telemetry::MetricValue& m : telemetry::registry().snapshot()) {
@@ -539,6 +541,86 @@ TEST(CrossBackend, StableTelemetryManifestsMatch) {
   EXPECT_EQ(inproc_manifest, socket_manifest);
   EXPECT_GT(socket_manifest.at("chaos.rounds"), 0u);
   EXPECT_GT(socket_manifest.at("transport.bytes_on_wire"), 0u);
+}
+
+namespace {
+
+/// Agent program for the frame-level contract: a pure function of
+/// (agent, round, estimate) whose emission shape varies by round —
+/// silent, one frame, a duplicate pair, or a fresh frame followed by one
+/// with an older emitted round (which the canonical order moves ahead).
+transport::AgentFn varied_agents() {
+  return [](std::size_t agent, std::size_t round, const linalg::Vector& estimate) {
+    util::Frame frame;
+    frame.type = util::FrameType::kGradient;
+    frame.agent = static_cast<std::uint32_t>(agent);
+    frame.round = round;
+    frame.emitted = round;
+    frame.hops = 1;
+    // Bit patterns a lossy codec would disturb: a signed zero and a
+    // subnormal, next to estimate-dependent values.
+    frame.payload = {estimate[0] * static_cast<double>(agent + 1), -0.0,
+                     std::numeric_limits<double>::denorm_min() * static_cast<double>(round + 1),
+                     estimate[1] - static_cast<double>(agent)};
+    std::vector<util::Frame> out;
+    switch ((agent + round) % 4) {
+      case 0:
+        break;
+      case 1:
+        out = {frame, frame};
+        break;
+      case 2: {
+        util::Frame older = frame;
+        older.emitted = round / 2;
+        older.payload[0] = -older.payload[0];
+        out = {frame, older};
+        break;
+      }
+      default:
+        out = {frame};
+    }
+    return out;
+  };
+}
+
+std::uint64_t bits_of(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+}  // namespace
+
+TEST(CrossBackend, ExchangeDeliversIdenticalFramesOnEveryTopology) {
+  constexpr std::size_t n = 7;
+  for (const Topology topology : {Topology::kStar, Topology::kChain, Topology::kTree}) {
+    const std::string label = transport::to_string(topology);
+    transport::InprocTransport inproc(topology, n, varied_agents());
+    transport::SocketTransport socket(topology, n, varied_agents());
+    for (std::size_t round = 0; round < 12; ++round) {
+      const linalg::Vector estimate{0.5 * static_cast<double>(round) - 1.25,
+                                    1.0 / (static_cast<double>(round) + 3.0)};
+      const std::vector<util::Frame> expected = inproc.exchange(round, estimate);
+      const std::vector<util::Frame> actual = socket.exchange(round, estimate);
+      const std::string at = label + " round " + std::to_string(round);
+      ASSERT_EQ(actual.size(), expected.size()) << at;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        const util::Frame& a = expected[i];
+        const util::Frame& b = actual[i];
+        EXPECT_EQ(a.type, b.type) << at << " frame " << i;
+        EXPECT_EQ(a.agent, b.agent) << at << " frame " << i;
+        EXPECT_EQ(a.round, b.round) << at << " frame " << i;
+        EXPECT_EQ(a.emitted, b.emitted) << at << " frame " << i;
+        EXPECT_EQ(a.hops, b.hops) << at << " frame " << i;
+        EXPECT_EQ(a.hops, transport::depth_of(topology, a.agent, n)) << at << " frame " << i;
+        ASSERT_EQ(a.payload.size(), b.payload.size()) << at << " frame " << i;
+        for (std::size_t k = 0; k < a.payload.size(); ++k) {
+          EXPECT_EQ(bits_of(a.payload[k]), bits_of(b.payload[k])) << at << " frame " << i;
+        }
+      }
+    }
+    EXPECT_EQ(inproc.stats().exchanges, socket.stats().exchanges) << label;
+    EXPECT_EQ(inproc.stats().frames_delivered, socket.stats().frames_delivered) << label;
+    EXPECT_EQ(inproc.stats().bytes_on_wire, socket.stats().bytes_on_wire) << label;
+    EXPECT_EQ(inproc.stats().reduce_rounds, socket.stats().reduce_rounds) << label;
+    EXPECT_GT(inproc.stats().frames_delivered, 0u) << label;
+  }
 }
 
 TEST(ScenarioSession, MatchesTheChaosExecutorWithoutChannelFaults) {
