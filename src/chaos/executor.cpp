@@ -1,50 +1,19 @@
 #include "chaos/executor.h"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <limits>
-#include <map>
 #include <utility>
 
 #include "attacks/registry.h"
+#include "chaos/round.h"
 #include "core/exact_algorithm.h"
 #include "core/quadratic_cost.h"
 #include "data/mean_estimation.h"
 #include "data/regression.h"
-#include "dgd/projection.h"
-#include "dgd/schedule.h"
-#include "filters/registry.h"
 #include "rng/rng.h"
-#include "runtime/runtime.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/error.h"
 
 namespace redopt::chaos {
-
-namespace {
-
-bool in_window(const FaultSpec& spec, std::size_t t) {
-  if (t < spec.from) return false;
-  return spec.until == 0 || t < spec.until;
-}
-
-bool all_finite(const linalg::Vector& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-/// One reply in flight: the gradient an agent emitted at a given round.
-struct Reply {
-  std::size_t agent = 0;
-  std::size_t emitted = 0;  ///< round the payload was computed in
-  linalg::Vector payload;
-};
-
-}  // namespace
 
 std::unique_ptr<attacks::Attack> make_scenario_attack(const std::string& name, double param) {
   attacks::AttackParams p;
@@ -166,262 +135,53 @@ ScenarioResult run_scenario(const Scenario& s, const ExecutorOptions& options) {
       .attr("rounds", static_cast<std::uint64_t>(s.rounds));
 
   const MaterializedScenario built = materialize_scenario(s);
-  const auto& problem = built.problem;
-  const std::size_t n = s.n;
-  const std::size_t d = s.d;
+  KernelOptions kernel_options;
+  kernel_options.filter_factory = options.filter_factory;
+  RoundKernel kernel(s, built, kernel_options);
+  RoundState state = initial_round_state(s, built);
 
-  // Per-agent fault lookup (index by agent; at most one spec per agent).
-  std::vector<const FaultSpec*> spec_of(n, nullptr);
-  for (const FaultSpec& spec : s.faults) spec_of[spec.agent] = &spec;
-
-  const rng::Rng root(s.seed);
-  rng::Rng channel_rng = root.fork("channel");
-  std::vector<rng::Rng> attack_rngs;
-  attack_rngs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    attack_rngs.push_back(root.fork("byzantine-agent-" + std::to_string(i)));
-  }
-  std::vector<std::unique_ptr<attacks::Attack>> attack_of(n);
-  for (const FaultSpec& spec : s.faults) {
-    if (spec.kind == FaultSpec::Kind::kByzantine) {
-      attack_of[spec.agent] = make_scenario_attack(spec.attack, spec.attack_param);
-    }
-  }
-
-  auto factory = options.filter_factory;
-  if (!factory) {
-    factory = [](const std::string& name, std::size_t fn, std::size_t ff) {
-      filters::FilterParams fp;
-      fp.n = fn;
-      fp.f = ff;
-      return filters::FilterPtr(filters::make_filter(name, fp));
-    };
-  }
-  // Round-local filters, cached by the (reply count, fault budget) they
-  // were built for.  std::map keeps the cache iteration deterministic.
-  std::map<std::pair<std::size_t, std::size_t>, filters::FilterPtr> filter_cache;
-  auto filter_for = [&](std::size_t n_round,
-                        std::size_t* f_used) -> const filters::FilterPtr& {
-    std::size_t f_try = std::min(s.f, n_round == 0 ? std::size_t{0} : n_round - 1);
-    while (true) {
-      const auto key = std::make_pair(n_round, f_try);
-      auto it = filter_cache.find(key);
-      if (it != filter_cache.end()) {
-        *f_used = f_try;
-        return it->second;
-      }
-      try {
-        auto made = factory(s.filter, n_round, f_try);
-        *f_used = f_try;
-        return filter_cache.emplace(key, std::move(made)).first->second;
-      } catch (const PreconditionError&) {
-        if (f_try == 0) break;
-        --f_try;
-      }
-    }
-    // Even f = 0 failed (e.g. krum with too few replies): degrade to the
-    // plain average so the execution stays total.
-    const auto key = std::make_pair(n_round, std::size_t{0});
-    auto it = filter_cache.find(key);
-    *f_used = 0;
-    if (it != filter_cache.end()) return it->second;
-    filters::FilterParams fp;
-    fp.n = n_round;
-    fp.f = 0;
-    return filter_cache.emplace(key, filters::make_filter("mean", fp)).first->second;
-  };
-
-  const dgd::HarmonicSchedule schedule(scenario_schedule_coefficient(s.filter, n, s.f));
-  const dgd::BoxProjection projection = dgd::BoxProjection::cube(d, 10.0);
-
-  rng::Rng x0_rng = root.fork("x0");
-  linalg::Vector x(d);
-  for (auto& v : x) v = x0_rng.uniform(-5.0, 5.0);
-  x = projection.project(x);
-
-  ScenarioResult result;
-  result.reference = built.reference;
-  result.initial_distance = linalg::distance(x, built.reference);
-  result.max_distance = result.initial_distance;
-
-  // Estimate history for stragglers: history[s] is x^{t-s} (clamped).
-  std::size_t max_staleness = 0;
-  for (const FaultSpec& spec : s.faults) {
-    if (spec.kind == FaultSpec::Kind::kStraggler) {
-      max_staleness = std::max(max_staleness, spec.staleness);
-    }
-  }
-  std::deque<linalg::Vector> history;
-  history.push_front(x);
-
-  // Replies delayed by the channel, keyed by their delivery round.
-  std::map<std::size_t, std::vector<Reply>> pending;
-
-  std::vector<linalg::Vector> payloads(n);
-  std::vector<char> emits(n, 0);
-  for (std::size_t t = 0; t < s.rounds; ++t) {
+  while (!state.finished(s.rounds)) {
     // The span opens and closes in this serial context; the parallel
     // fan-outs inside the round never touch the span log.
+    const std::size_t t = state.next_round;
     telemetry::ScopedSpan round_span("chaos.round");
     round_span.attr("t", static_cast<std::uint64_t>(t));
+    kernel.step(state);
+    metric_rounds.inc();
+
     auto note = [&](const char* name, std::size_t agent) {
       telemetry::span_instant(name, {{"agent", telemetry::Value(static_cast<std::uint64_t>(agent))},
                                      {"t", telemetry::Value(static_cast<std::uint64_t>(t))}});
     };
-    // --- Emission: every non-crashed agent computes its reply. ---
-    for (std::size_t i = 0; i < n; ++i) {
-      const FaultSpec* spec = spec_of[i];
-      emits[i] = !(spec != nullptr && spec->kind == FaultSpec::Kind::kCrash && in_window(*spec, t));
-      if (!emits[i]) {
-        ++result.crashed_absences;
-        metric_crashed.inc();
-        note("chaos.crashed", i);
-      }
+    const std::vector<RoundFate>& fates = kernel.fates();
+    for (std::size_t i = 0; i < s.n; ++i) {
+      if (fates[i].emits) continue;
+      metric_crashed.inc();
+      note("chaos.crashed", i);
     }
-    // Honest payloads (and the Byzantine agents' would-be-honest
-    // gradients) fan out across the runtime; each index writes only its
-    // own slot, so the result is thread-count independent.
-    runtime::parallel_for(0, n, [&](std::size_t i) {
-      if (!emits[i]) return;
-      const FaultSpec* spec = spec_of[i];
-      std::size_t staleness = 0;
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kStraggler && in_window(*spec, t)) {
-        staleness = std::min(spec->staleness, history.size() - 1);
-      }
-      // Byzantine agents are never stale: the attack sees the freshest
-      // state (worst case for the server).
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kByzantine && in_window(*spec, t)) {
-        staleness = 0;
-      }
-      payloads[i] = problem.costs[i]->gradient(history[staleness]);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!emits[i]) continue;
-      const FaultSpec* spec = spec_of[i];
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kStraggler && in_window(*spec, t) &&
-          history.size() > 1) {
-        ++result.stale_replies;
-        metric_stale.inc();
-      }
-    }
-
-    // What the adversary observes: the replies of the agents that are not
-    // Byzantine this execution (stale where straggling).
-    std::vector<linalg::Vector> observed;
-    observed.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const FaultSpec* spec = spec_of[i];
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kByzantine) continue;
-      if (!emits[i]) continue;
-      observed.push_back(payloads[i]);
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const FaultSpec* spec = spec_of[i];
-      if (spec == nullptr || spec->kind != FaultSpec::Kind::kByzantine || !in_window(*spec, t)) {
-        continue;
-      }
-      const linalg::Vector true_gradient = payloads[i];
-      const std::vector<linalg::Vector>* seen = observed.empty() ? nullptr : &observed;
-      const std::vector<linalg::Vector> fallback{true_gradient};
-      attacks::AttackContext ctx;
-      ctx.iteration = t;
-      ctx.agent_id = i;
-      ctx.n = n;
-      ctx.f = s.f;
-      ctx.estimate = &x;
-      ctx.honest_gradient = &true_gradient;
-      ctx.honest_gradients = seen != nullptr ? seen : &fallback;
-      ctx.rng = &attack_rngs[i];
-      payloads[i] = attack_of[i]->craft(ctx);
-      REDOPT_REQUIRE(payloads[i].size() == d, "attack crafted a wrong-dimension vector");
-      ++result.byzantine_replies;
-      metric_byzantine.inc();
-    }
-
-    // --- Channel: drop / duplicate / delay each emitted reply, draws in
-    // agent order from the dedicated channel stream. ---
-    std::vector<Reply> arrivals;
-    if (auto it = pending.find(t); it != pending.end()) {
-      arrivals = std::move(it->second);
-      pending.erase(it);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!emits[i]) continue;
-      Reply reply{i, t, payloads[i]};
-      if (s.channel.drop_probability > 0.0 &&
-          channel_rng.uniform() < s.channel.drop_probability) {
-        ++result.dropped_replies;
+    for (std::size_t i = 0; i < s.n; ++i) {
+      const RoundFate& fate = fates[i];
+      if (!fate.emits) continue;
+      if (fate.stale) metric_stale.inc();
+      if (fate.byzantine) metric_byzantine.inc();
+      if (fate.dropped) {
         metric_dropped.inc();
         note("chaos.dropped", i);
         continue;
       }
-      if (s.channel.duplicate_probability > 0.0 &&
-          channel_rng.uniform() < s.channel.duplicate_probability) {
-        ++result.duplicated_replies;
+      if (fate.duplicated) {
         metric_duplicated.inc();
         note("chaos.duplicated", i);
-        arrivals.push_back(reply);  // the extra copy lands on time
       }
-      if (s.channel.max_delay > 0) {
-        const auto delay = static_cast<std::size_t>(
-            channel_rng.uniform_int(0, static_cast<std::int64_t>(s.channel.max_delay)));
-        if (delay > 0) {
-          ++result.delayed_replies;
-          metric_delayed.inc();
-          note("chaos.delayed", i);
-          pending[t + delay].push_back(std::move(reply));
-          continue;
-        }
+      if (fate.delay > 0) {
+        metric_delayed.inc();
+        note("chaos.delayed", i);
       }
-      arrivals.push_back(std::move(reply));
     }
-
-    // --- Receive: the server keeps the freshest reply per agent this
-    // round (sequence-number dedup: a stale or duplicate arrival never
-    // replaces a fresher one). ---
-    std::map<std::size_t, Reply> inbox;
-    for (Reply& reply : arrivals) {
-      auto [it, inserted] = inbox.try_emplace(reply.agent, std::move(reply));
-      if (inserted) continue;
-      if (reply.emitted > it->second.emitted) {
-        it->second = std::move(reply);
-      }
-      ++result.superseded_replies;
-    }
-
-    // --- Aggregate and step. ---
-    metric_rounds.inc();
-    if (!inbox.empty()) {
-      std::vector<linalg::Vector> received;
-      received.reserve(inbox.size());
-      for (auto& [agent, reply] : inbox) {
-        (void)agent;
-        received.push_back(std::move(reply.payload));
-      }
-      std::size_t f_used = 0;
-      const filters::FilterPtr& filter = filter_for(received.size(), &f_used);
-      if (received.size() != n || f_used != s.f) ++result.filter_rebuilds;
-      const linalg::Vector direction = filter->apply(received);
-      x = projection.project(x - direction * schedule.step(t));
-    }
-    history.push_front(x);
-    while (history.size() > max_staleness + 1) history.pop_back();
-
-    if (!all_finite(x)) {
-      result.nonfinite = true;
-      result.nonfinite_round = t;
-      break;
-    }
-    result.max_distance = std::max(result.max_distance, linalg::distance(x, built.reference));
   }
 
   metric_scenarios.inc();
-  result.estimate = x;
-  result.final_distance =
-      result.nonfinite ? std::numeric_limits<double>::infinity()
-                       : linalg::distance(x, built.reference);
-  return result;
+  return scenario_result(state, built);
 }
 
 double exact_algorithm_distance(const Scenario& s) {

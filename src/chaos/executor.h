@@ -2,12 +2,12 @@
 //
 // run_scenario() materializes a Scenario into a concrete adversarial DGD
 // execution: it generates the problem instance from the scenario seed,
-// runs the server round loop under the scenario's fault schedule and
-// channel model, and reports the trajectory observables Properties
-// asserts on.  The execution is bit-identical for every REDOPT_THREADS
-// value (honest gradient fan-out uses runtime::parallel_for with
-// per-slot writes; every random draw comes from a named fork of the
-// scenario seed).
+// steps the round kernel (chaos/round.h) under the scenario's fault
+// schedule and channel model to the last round, and reports the
+// trajectory observables Properties asserts on.  The execution is
+// bit-identical for every REDOPT_THREADS value (honest gradient fan-out
+// uses runtime::parallel_for with per-slot writes; every random draw
+// comes from a per-(agent, round) named fork of the scenario seed).
 #pragma once
 
 #include <cstdint>
@@ -72,12 +72,16 @@ struct ScenarioResult {
   std::uint64_t filter_rebuilds = 0;  ///< rounds aggregated with a reduced (n, f)
 };
 
+/// Builds the gradient filter @p name for (n, f); throws PreconditionError
+/// when the filter cannot run at that shape.
+using FilterFactory =
+    std::function<filters::FilterPtr(const std::string& name, std::size_t n, std::size_t f)>;
+
 /// Execution knobs that are not part of the scenario itself.
 struct ExecutorOptions {
   /// Overrides gradient-filter construction (test hook: the broken-filter
   /// self-test injects a sign-flipped CGE here).  Default: filters registry.
-  std::function<filters::FilterPtr(const std::string& name, std::size_t n, std::size_t f)>
-      filter_factory;
+  FilterFactory filter_factory;
 };
 
 /// Runs the scenario (validating it first).  Deterministic in the

@@ -213,6 +213,21 @@ bool Scenario::redundant_throughout() const {
   return true;
 }
 
+const FaultSpec* Scenario::fault_of(std::size_t agent) const {
+  for (const FaultSpec& spec : faults) {
+    if (spec.agent == agent) return &spec;
+  }
+  return nullptr;
+}
+
+std::size_t Scenario::max_staleness() const {
+  std::size_t out = 0;
+  for (const FaultSpec& spec : faults) {
+    if (spec.kind == FaultSpec::Kind::kStraggler) out = std::max(out, spec.staleness);
+  }
+  return out;
+}
+
 std::vector<std::size_t> Scenario::byzantine_agents() const {
   std::vector<std::size_t> out;
   for (const FaultSpec& spec : faults) {

@@ -39,6 +39,9 @@ struct FaultSpec {
   std::string attack = "gradient_reverse";  ///< Byzantine only: attack registry name
   double attack_param = 1.0;  ///< the attack's scalar knob (scale / z / c / aggression)
   std::size_t staleness = 1;  ///< straggler only: fixed lag s >= 1
+
+  /// Whether round @p t lies in [from, until) (until == 0: open-ended).
+  bool in_window(std::size_t t) const { return t >= from && (until == 0 || t < until); }
 };
 
 /// Channel fault model applied to every reply, mirroring net::LinkFaults.
@@ -127,6 +130,13 @@ struct Scenario {
 
   /// redundant_at over every round of the schedule.
   bool redundant_throughout() const;
+
+  /// The fault spec naming @p agent, or nullptr for a healthy agent.
+  const FaultSpec* fault_of(std::size_t agent) const;
+
+  /// The largest straggler staleness (0 without stragglers): estimate
+  /// histories keep this many past iterates.
+  std::size_t max_staleness() const;
 
   /// Agents with a Byzantine / crash spec, ascending.
   std::vector<std::size_t> byzantine_agents() const;

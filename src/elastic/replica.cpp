@@ -1,39 +1,18 @@
 #include "elastic/replica.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
+#include "chaos/round.h"
 #include "util/error.h"
 
 namespace redopt::elastic {
-
-namespace {
-
-bool in_window(const chaos::FaultSpec& spec, std::size_t t) {
-  if (t < spec.from) return false;
-  return spec.until == 0 || t < spec.until;
-}
-
-std::size_t scenario_max_staleness(const chaos::Scenario& s) {
-  std::size_t max_staleness = 0;
-  for (const chaos::FaultSpec& spec : s.faults) {
-    if (spec.kind == chaos::FaultSpec::Kind::kStraggler) {
-      max_staleness = std::max(max_staleness, spec.staleness);
-    }
-  }
-  return max_staleness;
-}
-
-}  // namespace
 
 ElasticReplica::ElasticReplica(const chaos::Scenario& scenario,
                                const chaos::MaterializedScenario& built, std::size_t agent)
     : scenario_(scenario),
       agent_(agent),
-      max_staleness_(scenario_max_staleness(scenario)),
-      spec_of_(scenario.n, nullptr),
-      attack_rng_(rng::Rng(scenario.seed).fork("byzantine-agent-" + std::to_string(agent))),
+      max_staleness_(scenario.max_staleness()),
       telemetry_(std::make_unique<telemetry::AgentTelemetry>()) {
   REDOPT_REQUIRE(agent < scenario.n, "elastic replica: agent id out of range");
   // Private world view: static costs are immutable and shared; streaming
@@ -48,8 +27,7 @@ ElasticReplica::ElasticReplica(const chaos::Scenario& scenario,
       costs_[i] = copy;
     }
   }
-  for (const chaos::FaultSpec& spec : scenario_.faults) spec_of_[spec.agent] = &spec;
-  const chaos::FaultSpec* own = spec_of_[agent_];
+  const chaos::FaultSpec* own = scenario_.fault_of(agent_);
   if (own != nullptr && own->kind == chaos::FaultSpec::Kind::kByzantine) {
     attack_ = chaos::make_scenario_attack(own->attack, own->attack_param);
   }
@@ -72,10 +50,10 @@ ElasticReplica::ElasticReplica(const chaos::Scenario& scenario,
 }
 
 linalg::Vector ElasticReplica::honest_payload(std::size_t who, std::size_t round) const {
-  const chaos::FaultSpec* spec = spec_of_[who];
+  const chaos::FaultSpec* spec = scenario_.fault_of(who);
   std::size_t staleness = 0;
   if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kStraggler &&
-      in_window(*spec, round)) {
+      spec->in_window(round)) {
     staleness = std::min(spec->staleness, history_.size() - 1);
   }
   return costs_[who]->gradient(history_[staleness]);
@@ -140,8 +118,7 @@ std::vector<util::Frame> ElasticReplica::on_round(std::size_t round,
   }
   m_member_rounds_.inc();
 
-  const transport::AgentReplica::RoundFate what =
-      transport::AgentReplica::fate(scenario_, agent_, round);
+  const chaos::RoundFate what = chaos::round_fate(scenario_, agent_, round);
   if (!what.emits) {
     m_crashed_.inc();
     note("replica.crashed");
@@ -169,10 +146,10 @@ std::vector<util::Frame> ElasticReplica::on_round(std::size_t round,
     observed.reserve(scenario_.n);
     for (std::size_t j = 0; j < scenario_.n; ++j) {
       if (!scenario_.member_at(j, round)) continue;
-      const chaos::FaultSpec* spec = spec_of_[j];
+      const chaos::FaultSpec* spec = scenario_.fault_of(j);
       if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kByzantine) continue;
       if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kCrash &&
-          in_window(*spec, round)) {
+          spec->in_window(round)) {
         continue;
       }
       observed.push_back(honest_payload(j, round));
@@ -189,7 +166,8 @@ std::vector<util::Frame> ElasticReplica::on_round(std::size_t round,
     ctx.estimate = &history_[0];
     ctx.honest_gradient = &true_gradient;
     ctx.honest_gradients = observed.empty() ? &fallback : &observed;
-    ctx.rng = &attack_rng_;
+    rng::Rng rng = chaos::attack_rng(scenario_.seed, agent_, round);
+    ctx.rng = &rng;
     payload = attack_->craft(ctx);
     REDOPT_REQUIRE(payload.size() == scenario_.d, "attack crafted a wrong-dimension vector");
   }
@@ -224,14 +202,6 @@ std::vector<util::Frame> ElasticReplica::on_round(std::size_t round,
   }
   m_frames_emitted_.inc(out.size());
   return out;
-}
-
-ElasticReplica::RoundFate ElasticReplica::fate(const chaos::Scenario& scenario,
-                                               std::size_t agent, std::size_t round) {
-  RoundFate what;
-  what.member = scenario.member_at(agent, round);
-  what.base = transport::AgentReplica::fate(scenario, agent, round);
-  return what;
 }
 
 }  // namespace redopt::elastic

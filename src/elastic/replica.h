@@ -5,8 +5,8 @@
 // or stream events.  Per round it (1) folds the round's stream arrivals
 // into its private copy of the world's incremental costs, (2) flushes
 // channel-delayed frames (in-flight data outlives a departure), and
-// (3) emits the round's reply only while it is a live member — applying
-// the same fault-spec and pure per-(agent, round) channel treatment as
+// (3) emits the round's reply only while it is a live member — under the
+// same chaos::round_fate() and per-(agent, round) chaos::attack_rng() as
 // the fixed-membership replica, so a churn-free elastic scenario and its
 // plain twin behave identically.
 //
@@ -31,9 +31,7 @@
 #include "core/problem.h"
 #include "data/streaming.h"
 #include "linalg/vector.h"
-#include "rng/rng.h"
 #include "telemetry/ship.h"
-#include "transport/agent_replica.h"
 #include "util/frame.h"
 
 namespace redopt::elastic {
@@ -58,15 +56,6 @@ class ElasticReplica {
   /// counters, and an elastic.round span per call.
   const telemetry::AgentTelemetry& telemetry() const { return *telemetry_; }
 
-  /// The membership-aware round fate, pure in the scenario: the
-  /// coordinator replays it for fault accounting, exactly mirroring what
-  /// on_round books into the island.
-  struct RoundFate {
-    bool member = true;
-    transport::AgentReplica::RoundFate base;  ///< meaningful only when member
-  };
-  static RoundFate fate(const chaos::Scenario& scenario, std::size_t agent, std::size_t round);
-
  private:
   linalg::Vector honest_payload(std::size_t who, std::size_t round) const;
 
@@ -75,9 +64,7 @@ class ElasticReplica {
   std::vector<core::CostPtr> costs_;  ///< private world view (clones for streams)
   std::vector<std::shared_ptr<data::StreamingLeastSquaresCost>> streams_;
   std::size_t max_staleness_ = 0;
-  std::vector<const chaos::FaultSpec*> spec_of_;
   std::unique_ptr<attacks::Attack> attack_;
-  rng::Rng attack_rng_;
   std::deque<linalg::Vector> history_;  ///< history_[s] is the estimate of round - s
   std::map<std::size_t, std::vector<util::Frame>> delayed_;
   std::size_t stream_cursor_ = 0;  ///< next unabsorbed scenario stream event

@@ -9,11 +9,11 @@
 #include <utility>
 
 #include "chaos/properties.h"
+#include "chaos/round.h"
 #include "dgd/projection.h"
 #include "dgd/schedule.h"
 #include "elastic/membership.h"
 #include "elastic/replica.h"
-#include "filters/registry.h"
 #include "rng/rng.h"
 #include "runtime/runtime.h"
 #include "telemetry/metrics.h"
@@ -101,49 +101,11 @@ ElasticSession run_rounds(const chaos::Scenario& scenario, const ElasticOptions&
   const std::size_t d = scenario.d;
   const MembershipSchedule membership(scenario);
 
-  // Round-local filters, cached by the (reply count, fault budget) they
-  // were built for.  The elastic twist on the session layer's fallback
-  // chain: the search starts at the round's DERIVED budget f_t — churn
-  // that shrinks the live set below 2f + 1 forces a defensible filter
-  // before any reply is even missing.
-  std::map<std::pair<std::size_t, std::size_t>, filters::FilterPtr> filter_cache;
-  auto make_filter = [&](std::size_t n_round, std::size_t f_try) -> filters::FilterPtr {
-    if (options.filter_factory) return options.filter_factory(scenario.filter, n_round, f_try);
-    filters::FilterParams fp;
-    fp.n = n_round;
-    fp.f = f_try;
-    return filters::FilterPtr(filters::make_filter(scenario.filter, fp));
-  };
-  auto filter_for = [&](std::size_t n_round, std::size_t f_cap,
-                        std::size_t* f_used) -> const filters::FilterPtr& {
-    std::size_t f_try = std::min(f_cap, n_round == 0 ? std::size_t{0} : n_round - 1);
-    while (true) {
-      const auto key = std::make_pair(n_round, f_try);
-      auto it = filter_cache.find(key);
-      if (it != filter_cache.end()) {
-        *f_used = f_try;
-        return it->second;
-      }
-      try {
-        auto made = make_filter(n_round, f_try);
-        *f_used = f_try;
-        return filter_cache.emplace(key, std::move(made)).first->second;
-      } catch (const PreconditionError&) {
-        if (f_try == 0) break;
-        --f_try;
-      }
-    }
-    // Even f = 0 failed (e.g. krum with too few replies): degrade to the
-    // plain average so the execution stays total.
-    const auto key = std::make_pair(n_round, std::size_t{0});
-    auto it = filter_cache.find(key);
-    *f_used = 0;
-    if (it != filter_cache.end()) return it->second;
-    filters::FilterParams fp;
-    fp.n = n_round;
-    fp.f = 0;
-    return filter_cache.emplace(key, filters::make_filter("mean", fp)).first->second;
-  };
+  // The round kernel's (n, f) fallback chain, with an elastic twist: the
+  // search starts at the round's DERIVED budget f_t — churn that shrinks
+  // the live set below 2f + 1 forces a defensible filter before any
+  // reply is even missing.
+  chaos::FilterCache filter_cache(scenario.filter, options.filter_factory);
 
   // Schedule and projection keyed to the nominal (n, f): the step sizes
   // must not depend on the membership replay, or a counterfactual churn
@@ -222,7 +184,7 @@ ElasticSession run_rounds(const chaos::Scenario& scenario, const ElasticOptions&
       }
       ++session.member_agent_rounds;
       metric_member.inc();
-      const transport::AgentReplica::RoundFate fate = transport::AgentReplica::fate(scenario, i, t);
+      const chaos::RoundFate fate = chaos::round_fate(scenario, i, t);
       if (!fate.emits) {
         ++result.crashed_absences;
         metric_crashed.inc();
@@ -274,7 +236,7 @@ ElasticSession run_rounds(const chaos::Scenario& scenario, const ElasticOptions&
         received.push_back(linalg::Vector(reply.frame->payload));
       }
       std::size_t f_used = 0;
-      const filters::FilterPtr& filter = filter_for(received.size(), f_t, &f_used);
+      const filters::FilterPtr& filter = filter_cache.get(received.size(), f_t, &f_used);
       if (received.size() != m_t || f_used != scenario.f) {
         ++result.filter_rebuilds;
         telemetry::span_instant(

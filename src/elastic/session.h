@@ -13,10 +13,10 @@
 //
 //   run_elastic_transport — the same replicas behind a Transport backend
 //     (inproc or socket, any topology).  The protocol state is all in
-//     the replicas and the pure per-(agent, round) channel streams, so
-//     both backends — and run_elastic itself — produce byte-identical
-//     estimate traces, fault counters and (projected) telemetry
-//     manifests; tests/test_elastic.cpp pins exactly that.
+//     the replicas and the pure per-(agent, round) chaos::round_fate()
+//     schedule, so both backends — and run_elastic itself — produce
+//     byte-identical estimate traces, fault counters and (projected)
+//     telemetry manifests; tests/test_elastic.cpp pins exactly that.
 //
 // The coordinator books chaos.* counters with executor semantics plus
 // elastic.* membership observables, and wraps every round in an
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,8 +41,7 @@ namespace redopt::elastic {
 struct ElasticOptions {
   /// Overrides gradient-filter construction (test hook, mirroring
   /// chaos::ExecutorOptions).  Default: filters registry.
-  std::function<filters::FilterPtr(const std::string& name, std::size_t n, std::size_t f)>
-      filter_factory;
+  chaos::FilterFactory filter_factory;
 
   /// The coordinator serves (and records) one deterministic snapshot
   /// query every this many rounds; 0 disables the query trace.

@@ -169,11 +169,45 @@ void matvec(const double* a, std::size_t rows, std::size_t cols, const double* x
 
 void matvec_transposed(const double* a, std::size_t rows, std::size_t cols, const double* x,
                        double* out) {
-  std::fill(out, out + cols, 0.0);
+  // Eight output columns per pass, each summed in its own register over
+  // the rows in ascending order: every out[j] is bit-identical to the
+  // row-wise axpy below, but the pass never stores into out inside its
+  // inner loop.  The axpy form reloads and stores out for every row, and
+  // its speed depends on where out sits relative to a (a store sharing a
+  // 4 KiB page offset with a later load of a stalls that load): measured
+  // 2-3x swings across heap layouts at 64 x 64, enough to move redoptd's
+  // slice time by a third from one allocation change to the next.
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0, s5 = 0.0, s6 = 0.0, s7 = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double xi = x[i];
+      if (xi == 0.0) continue;
+      const double* r = a + i * cols + j;
+      s0 += xi * r[0];
+      s1 += xi * r[1];
+      s2 += xi * r[2];
+      s3 += xi * r[3];
+      s4 += xi * r[4];
+      s5 += xi * r[5];
+      s6 += xi * r[6];
+      s7 += xi * r[7];
+    }
+    out[j] = s0;
+    out[j + 1] = s1;
+    out[j + 2] = s2;
+    out[j + 3] = s3;
+    out[j + 4] = s4;
+    out[j + 5] = s5;
+    out[j + 6] = s6;
+    out[j + 7] = s7;
+  }
+  if (j == cols) return;
+  std::fill(out + j, out + cols, 0.0);
   for (std::size_t i = 0; i < rows; ++i) {
     const double xi = x[i];
     if (xi == 0.0) continue;
-    axpy(out, xi, a + i * cols, cols);
+    axpy(out + j, xi, a + i * cols + j, cols - j);
   }
 }
 

@@ -40,39 +40,41 @@ std::uint64_t uint_from(const util::JsonValue& value, const char* what) {
 }  // namespace
 
 std::string JobCheckpoint::to_json() const {
+  const chaos::RoundState& st = state;
   std::string out = "{";
   out += "\"spec\":" + spec.to_json() + ",";
-  out += "\"next_round\":" + std::to_string(next_round) + ",";
-  out += "\"x\":" + vector_json(x) + ",";
+  out += "\"next_round\":" + std::to_string(st.next_round) + ",";
+  out += "\"x\":" + vector_json(st.x) + ",";
   out += "\"history\":[";
-  for (std::size_t i = 0; i < history.size(); ++i) {
+  for (std::size_t i = 0; i < st.history.size(); ++i) {
     if (i > 0) out += ",";
-    out += vector_json(history[i]);
+    out += vector_json(st.history[i]);
   }
   out += "],";
   out += "\"pending\":[";
-  for (std::size_t i = 0; i < pending.size(); ++i) {
+  for (std::size_t i = 0; i < st.pending.size(); ++i) {
     if (i > 0) out += ",";
-    const PendingReply& r = pending[i];
+    const chaos::PendingReply& r = st.pending[i];
     out += "{\"agent\":" + std::to_string(r.agent) + ",\"emitted\":" + std::to_string(r.emitted) +
            ",\"deliver_at\":" + std::to_string(r.deliver_at) +
            ",\"payload\":" + vector_json(r.payload) + "}";
   }
   out += "],";
+  const chaos::RoundCounters& c = st.counters;
   out += "\"counters\":{";
-  out += "\"byzantine_replies\":" + std::to_string(counters.byzantine_replies) + ",";
-  out += "\"crashed_absences\":" + std::to_string(counters.crashed_absences) + ",";
-  out += "\"stale_replies\":" + std::to_string(counters.stale_replies) + ",";
-  out += "\"dropped_replies\":" + std::to_string(counters.dropped_replies) + ",";
-  out += "\"delayed_replies\":" + std::to_string(counters.delayed_replies) + ",";
-  out += "\"duplicated_replies\":" + std::to_string(counters.duplicated_replies) + ",";
-  out += "\"superseded_replies\":" + std::to_string(counters.superseded_replies) + ",";
-  out += "\"filter_rebuilds\":" + std::to_string(counters.filter_rebuilds);
+  out += "\"byzantine_replies\":" + std::to_string(c.byzantine_replies) + ",";
+  out += "\"crashed_absences\":" + std::to_string(c.crashed_absences) + ",";
+  out += "\"stale_replies\":" + std::to_string(c.stale_replies) + ",";
+  out += "\"dropped_replies\":" + std::to_string(c.dropped_replies) + ",";
+  out += "\"delayed_replies\":" + std::to_string(c.delayed_replies) + ",";
+  out += "\"duplicated_replies\":" + std::to_string(c.duplicated_replies) + ",";
+  out += "\"superseded_replies\":" + std::to_string(c.superseded_replies) + ",";
+  out += "\"filter_rebuilds\":" + std::to_string(c.filter_rebuilds);
   out += "},";
-  out += "\"initial_distance\":" + util::json_number(initial_distance) + ",";
-  out += "\"max_distance\":" + util::json_number(max_distance) + ",";
-  out += "\"nonfinite\":" + std::string(nonfinite ? "true" : "false") + ",";
-  out += "\"nonfinite_round\":" + std::to_string(nonfinite_round);
+  out += "\"initial_distance\":" + util::json_number(st.initial_distance) + ",";
+  out += "\"max_distance\":" + util::json_number(st.max_distance) + ",";
+  out += "\"nonfinite\":" + std::string(st.nonfinite ? "true" : "false") + ",";
+  out += "\"nonfinite_round\":" + std::to_string(st.nonfinite_round);
   out += "}";
   return out;
 }
@@ -83,6 +85,7 @@ JobCheckpoint checkpoint_from_json(const std::string& text) {
                  "checkpoint: expected a JSON object");
 
   JobCheckpoint ck;
+  chaos::RoundState& st = ck.state;
   bool saw_spec = false, saw_next_round = false, saw_x = false, saw_history = false;
   bool saw_pending = false, saw_counters = false, saw_initial = false, saw_max = false;
   bool saw_nonfinite = false, saw_nonfinite_round = false;
@@ -99,25 +102,25 @@ JobCheckpoint checkpoint_from_json(const std::string& text) {
     if (key == "spec") {
       saw_spec = true;  // parsed above
     } else if (key == "next_round") {
-      ck.next_round = static_cast<std::size_t>(
+      st.next_round = static_cast<std::size_t>(
           value.as_int(0, static_cast<std::int64_t>(rounds)));
       saw_next_round = true;
     } else if (key == "x") {
-      ck.x = vector_from(value, d, "x");
+      st.x = vector_from(value, d, "x");
       saw_x = true;
     } else if (key == "history") {
       const auto& items = value.as_array();
       REDOPT_REQUIRE(!items.empty(), "checkpoint: history must be non-empty");
       REDOPT_REQUIRE(items.size() <= rounds + 1, "checkpoint: history longer than the run");
       for (const auto& item : items) {
-        ck.history.push_back(vector_from(item, d, "history entry"));
+        st.history.push_back(vector_from(item, d, "history entry"));
       }
       saw_history = true;
     } else if (key == "pending") {
       for (const auto& item : value.as_array()) {
         REDOPT_REQUIRE(item.kind == util::JsonValue::Kind::kObject,
                        "checkpoint: pending entry must be an object");
-        PendingReply reply;
+        chaos::PendingReply reply;
         bool saw_agent = false, saw_emitted = false, saw_deliver = false, saw_payload = false;
         for (const auto& [rkey, rvalue] : item.members) {
           if (rkey == "agent") {
@@ -143,7 +146,7 @@ JobCheckpoint checkpoint_from_json(const std::string& text) {
                        "checkpoint: pending entry missing a member");
         REDOPT_REQUIRE(reply.deliver_at > reply.emitted,
                        "checkpoint: pending reply must deliver after emission");
-        ck.pending.push_back(std::move(reply));
+        st.pending.push_back(std::move(reply));
       }
       saw_pending = true;
     } else if (key == "counters") {
@@ -151,37 +154,37 @@ JobCheckpoint checkpoint_from_json(const std::string& text) {
                      "checkpoint: counters must be an object");
       for (const auto& [ckey, cvalue] : value.members) {
         if (ckey == "byzantine_replies") {
-          ck.counters.byzantine_replies = uint_from(cvalue, ckey.c_str());
+          st.counters.byzantine_replies = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "crashed_absences") {
-          ck.counters.crashed_absences = uint_from(cvalue, ckey.c_str());
+          st.counters.crashed_absences = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "stale_replies") {
-          ck.counters.stale_replies = uint_from(cvalue, ckey.c_str());
+          st.counters.stale_replies = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "dropped_replies") {
-          ck.counters.dropped_replies = uint_from(cvalue, ckey.c_str());
+          st.counters.dropped_replies = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "delayed_replies") {
-          ck.counters.delayed_replies = uint_from(cvalue, ckey.c_str());
+          st.counters.delayed_replies = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "duplicated_replies") {
-          ck.counters.duplicated_replies = uint_from(cvalue, ckey.c_str());
+          st.counters.duplicated_replies = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "superseded_replies") {
-          ck.counters.superseded_replies = uint_from(cvalue, ckey.c_str());
+          st.counters.superseded_replies = uint_from(cvalue, ckey.c_str());
         } else if (ckey == "filter_rebuilds") {
-          ck.counters.filter_rebuilds = uint_from(cvalue, ckey.c_str());
+          st.counters.filter_rebuilds = uint_from(cvalue, ckey.c_str());
         } else {
           REDOPT_REQUIRE(false, "checkpoint: unknown counter: " + ckey);
         }
       }
       saw_counters = true;
     } else if (key == "initial_distance") {
-      ck.initial_distance = value.as_number();
+      st.initial_distance = value.as_number();
       saw_initial = true;
     } else if (key == "max_distance") {
-      ck.max_distance = value.as_number();
+      st.max_distance = value.as_number();
       saw_max = true;
     } else if (key == "nonfinite") {
-      ck.nonfinite = value.as_bool();
+      st.nonfinite = value.as_bool();
       saw_nonfinite = true;
     } else if (key == "nonfinite_round") {
-      ck.nonfinite_round = static_cast<std::size_t>(
+      st.nonfinite_round = static_cast<std::size_t>(
           value.as_int(0, std::numeric_limits<std::int64_t>::max()));
       saw_nonfinite_round = true;
     } else {
@@ -193,13 +196,26 @@ JobCheckpoint checkpoint_from_json(const std::string& text) {
                      saw_counters && saw_initial && saw_max && saw_nonfinite &&
                      saw_nonfinite_round,
                  "checkpoint: missing a required member");
-  REDOPT_REQUIRE(ck.history.front() == ck.x,
+  REDOPT_REQUIRE(st.history.front() == st.x,
                  "checkpoint: history front must equal the current iterate");
-  for (const PendingReply& reply : ck.pending) {
-    REDOPT_REQUIRE(reply.deliver_at >= ck.next_round,
+  // Pending replies must be ones the round kernel could have left in
+  // flight: emitted in a completed round, delayed by at most the
+  // channel's max_delay, due no earlier than the next round, and listed
+  // in delivery order.  A forged future `emitted` would otherwise beat
+  // a genuine delayed reply in the freshest-reply dedup.
+  const std::size_t max_delay = ck.spec.scenario.channel.max_delay;
+  for (std::size_t k = 0; k < st.pending.size(); ++k) {
+    const chaos::PendingReply& reply = st.pending[k];
+    REDOPT_REQUIRE(reply.emitted < st.next_round,
+                   "checkpoint: pending reply emitted in a round not yet run");
+    REDOPT_REQUIRE(reply.deliver_at - reply.emitted <= max_delay,
+                   "checkpoint: pending reply delayed past the channel's max_delay");
+    REDOPT_REQUIRE(reply.deliver_at >= st.next_round,
                    "checkpoint: pending reply delivers in the past");
+    REDOPT_REQUIRE(k == 0 || st.pending[k - 1].deliver_at <= reply.deliver_at,
+                   "checkpoint: pending replies out of delivery order");
   }
-  REDOPT_REQUIRE(std::isfinite(ck.initial_distance) && std::isfinite(ck.max_distance),
+  REDOPT_REQUIRE(std::isfinite(st.initial_distance) && std::isfinite(st.max_distance),
                  "checkpoint: distances must be finite");
   return ck;
 }

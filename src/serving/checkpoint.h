@@ -1,12 +1,13 @@
 // Deterministic job checkpoints: the resumable state of a serving job.
 //
-// A checkpoint is everything the slice runner (serving/runner.h) needs
-// to continue a job from round `next_round` exactly as if it had never
-// stopped: the embedded spec, the current iterate, the straggler
-// history window, the channel's in-flight delayed replies, and the
-// accumulated fault counters.  Nothing else is needed because all
-// per-round randomness derives from per-round named forks of the
-// scenario seed — there is no cross-round RNG stream to serialize.
+// A checkpoint is the job's spec plus the round kernel's RoundState
+// (chaos/round.h): the current iterate, the straggler history window,
+// the channel's in-flight delayed replies, and the accumulated fault
+// counters.  That is everything the slice runner (serving/runner.h)
+// needs to continue a job from round `next_round` exactly as if it had
+// never stopped, because every fault draw is a per-(agent, round) named
+// fork of the scenario seed: there is no cross-round RNG stream to
+// serialize.
 //
 // The JSON form is canonical and bit-exact: doubles serialize through
 // util::json_number (17 significant digits, enough to round-trip any
@@ -17,71 +18,31 @@
 // run's (tests/test_serving.cpp pins exactly that).
 #pragma once
 
-#include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
-#include "linalg/vector.h"
+#include "chaos/round.h"
 #include "serving/job.h"
 
 namespace redopt::serving {
 
-/// One delayed reply still in the channel when the checkpoint was cut.
-struct PendingReply {
-  std::size_t agent = 0;
-  std::size_t emitted = 0;     ///< round the payload was computed in
-  std::size_t deliver_at = 0;  ///< round it will reach the coordinator
-  linalg::Vector payload;
-};
-
-/// Fault / channel counters accumulated so far (executor semantics).
-struct JobCounters {
-  std::uint64_t byzantine_replies = 0;
-  std::uint64_t crashed_absences = 0;
-  std::uint64_t stale_replies = 0;
-  std::uint64_t dropped_replies = 0;
-  std::uint64_t delayed_replies = 0;
-  std::uint64_t duplicated_replies = 0;
-  std::uint64_t superseded_replies = 0;
-  std::uint64_t filter_rebuilds = 0;
-
-  friend bool operator==(const JobCounters& a, const JobCounters& b) = default;
-};
-
 /// The resumable state of one job.
 struct JobCheckpoint {
   JobSpec spec;
+  chaos::RoundState state;
 
-  std::size_t next_round = 0;  ///< rounds completed so far
-  linalg::Vector x;            ///< current iterate x^{next_round}
-
-  /// Straggler window, newest first: history[s] is x^{next_round - s},
-  /// clamped to the scenario's maximum staleness plus one entries.
-  std::deque<linalg::Vector> history;
-
-  /// Channel-delayed replies not yet delivered, in emission order.
-  std::vector<PendingReply> pending;
-
-  JobCounters counters;
-
-  double initial_distance = 0.0;  ///< ||x^0 - reference||
-  double max_distance = 0.0;      ///< max over completed rounds
-  bool nonfinite = false;         ///< a NaN/Inf coordinate ended the run
-  std::size_t nonfinite_round = 0;
-
-  /// True when no rounds remain: next_round reached the scenario's
-  /// schedule or a non-finite iterate ended the run early.
-  bool finished() const { return nonfinite || next_round >= spec.scenario.rounds; }
+  /// True when no rounds remain: the scenario's schedule is done or a
+  /// non-finite iterate ended the run early.
+  bool finished() const { return state.finished(spec.scenario.rounds); }
 
   /// Canonical JSON blob (fixed member order, bit-exact doubles).
   std::string to_json() const;
 };
 
 /// Strict inverse of JobCheckpoint::to_json(): unknown members, missing
-/// members, wrong-dimension vectors and inconsistent round indices are
-/// all rejected with redopt::PreconditionError (the daemon feeds this
-/// bytes read back from disk after a crash — they are untrusted).
+/// members, wrong-dimension vectors, inconsistent round indices and
+/// pending replies the round kernel could never have produced are all
+/// rejected with redopt::PreconditionError (the daemon feeds this bytes
+/// read back from disk after a crash — they are untrusted).
 JobCheckpoint checkpoint_from_json(const std::string& text);
 
 }  // namespace redopt::serving

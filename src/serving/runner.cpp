@@ -1,19 +1,8 @@
 #include "serving/runner.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "attacks/registry.h"
-#include "dgd/projection.h"
-#include "dgd/schedule.h"
-#include "filters/registry.h"
-#include "rng/rng.h"
-#include "runtime/runtime.h"
 #include "telemetry/metrics.h"
 #include "telemetry/ship.h"
 #include "telemetry/span.h"
@@ -23,18 +12,6 @@
 namespace redopt::serving {
 
 namespace {
-
-bool in_window(const chaos::FaultSpec& spec, std::size_t t) {
-  if (t < spec.from) return false;
-  return spec.until == 0 || t < spec.until;
-}
-
-bool all_finite(const linalg::Vector& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
 
 std::string vector_json(const linalg::Vector& v) {
   std::string out = "[";
@@ -51,22 +28,9 @@ std::string vector_json(const linalg::Vector& v) {
 JobCheckpoint make_initial_checkpoint(const JobSpec& spec,
                                       const chaos::MaterializedScenario& built) {
   spec.validate();
-  const chaos::Scenario& s = spec.scenario;
-  const dgd::BoxProjection projection = dgd::BoxProjection::cube(s.d, 10.0);
-
-  // The same "x0" fork chaos::run_scenario draws, so fault-free serving
-  // trajectories coincide with the in-process executor's.
-  rng::Rng x0_rng = rng::Rng(s.seed).fork("x0");
-  linalg::Vector x(s.d);
-  for (auto& v : x) v = x0_rng.uniform(-5.0, 5.0);
-  x = projection.project(x);
-
   JobCheckpoint ck;
   ck.spec = spec;
-  ck.x = x;
-  ck.history.push_front(std::move(x));
-  ck.initial_distance = linalg::distance(ck.x, built.reference);
-  ck.max_distance = ck.initial_distance;
+  ck.state = chaos::initial_round_state(spec.scenario, built);
   return ck;
 }
 
@@ -74,248 +38,23 @@ std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, const Slice
   REDOPT_REQUIRE(ctx.built != nullptr, "runner: slice context missing the materialized scenario");
   if (ck.finished() || max_rounds == 0) return 0;
 
-  const chaos::Scenario& s = ck.spec.scenario;
-  const auto& problem = ctx.built->problem;
-  const std::size_t n = s.n;
-  const std::size_t d = s.d;
-  REDOPT_REQUIRE(ctx.evaluator == nullptr ||
-                     ctx.agent_base + n <= ctx.evaluator->num_agents(),
-                 "runner: evaluator group out of range");
-
   auto& reg = telemetry::registry();
   const auto metric_slices = reg.counter("serving.slices");
   const auto metric_rounds = reg.counter("serving.rounds");
 
   telemetry::ScopedSpan slice_span("serving.slice");
   slice_span.attr("job", ck.spec.job_id)
-      .attr("from", static_cast<std::uint64_t>(ck.next_round));
+      .attr("from", static_cast<std::uint64_t>(ck.state.next_round));
 
-  // Per-agent fault lookup (at most one spec per agent), stateless
-  // attacks reconstructed fresh — resume-safe by construction.
-  std::vector<const chaos::FaultSpec*> spec_of(n, nullptr);
-  for (const chaos::FaultSpec& spec : s.faults) spec_of[spec.agent] = &spec;
-  std::vector<std::unique_ptr<attacks::Attack>> attack_of(n);
-  for (const chaos::FaultSpec& spec : s.faults) {
-    if (spec.kind == chaos::FaultSpec::Kind::kByzantine) {
-      attack_of[spec.agent] = chaos::make_scenario_attack(spec.attack, spec.attack_param);
-    }
-  }
-
-  // Round-local filters cached by (reply count, fault budget), with the
-  // executor's f-decrement fallback (see chaos/executor.cpp).
-  std::map<std::pair<std::size_t, std::size_t>, filters::FilterPtr> filter_cache;
-  auto filter_for = [&](std::size_t n_round, std::size_t* f_used) -> const filters::FilterPtr& {
-    std::size_t f_try = std::min(s.f, n_round == 0 ? std::size_t{0} : n_round - 1);
-    while (true) {
-      const auto key = std::make_pair(n_round, f_try);
-      auto it = filter_cache.find(key);
-      if (it != filter_cache.end()) {
-        *f_used = f_try;
-        return it->second;
-      }
-      try {
-        filters::FilterParams fp;
-        fp.n = n_round;
-        fp.f = f_try;
-        auto made = filters::FilterPtr(filters::make_filter(s.filter, fp));
-        *f_used = f_try;
-        return filter_cache.emplace(key, std::move(made)).first->second;
-      } catch (const PreconditionError&) {
-        if (f_try == 0) break;
-        --f_try;
-      }
-    }
-    const auto key = std::make_pair(n_round, std::size_t{0});
-    auto it = filter_cache.find(key);
-    *f_used = 0;
-    if (it != filter_cache.end()) return it->second;
-    filters::FilterParams fp;
-    fp.n = n_round;
-    fp.f = 0;
-    return filter_cache.emplace(key, filters::make_filter("mean", fp)).first->second;
-  };
-
-  const dgd::HarmonicSchedule schedule(chaos::scenario_schedule_coefficient(s.filter, n, s.f));
-  const dgd::BoxProjection projection = dgd::BoxProjection::cube(d, 10.0);
-  const rng::Rng root(s.seed);
-
-  std::size_t max_staleness = 0;
-  for (const chaos::FaultSpec& spec : s.faults) {
-    if (spec.kind == chaos::FaultSpec::Kind::kStraggler) {
-      max_staleness = std::max(max_staleness, spec.staleness);
-    }
-  }
-
-  // In-flight delayed replies, keyed by delivery round; the checkpoint
-  // stores them flattened in (round, emission-order) — the same order a
-  // grouping rebuild produces.
-  std::map<std::size_t, std::vector<PendingReply>> pending;
-  for (PendingReply& reply : ck.pending) {
-    pending[reply.deliver_at].push_back(std::move(reply));
-  }
-  ck.pending.clear();
-
-  linalg::Vector x = ck.x;
-  std::deque<linalg::Vector>& history = ck.history;
-
-  std::vector<linalg::Vector> payloads(n);
-  std::vector<linalg::Vector> residual_ws(ctx.evaluator != nullptr ? n : 0);
-  std::vector<char> emits(n, 0);
+  chaos::KernelOptions options;
+  options.evaluator = ctx.evaluator;
+  options.agent_base = ctx.agent_base;
+  chaos::RoundKernel kernel(ck.spec.scenario, *ctx.built, options);
   std::size_t ran = 0;
-
-  for (std::size_t t = ck.next_round; t < s.rounds && ran < max_rounds; ++t, ++ran) {
-    // --- Emission: every non-crashed agent computes its reply. ---
-    for (std::size_t i = 0; i < n; ++i) {
-      const chaos::FaultSpec* spec = spec_of[i];
-      emits[i] =
-          !(spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kCrash && in_window(*spec, t));
-      if (!emits[i]) ++ck.counters.crashed_absences;
-    }
-    runtime::parallel_for(0, n, [&](std::size_t i) {
-      if (!emits[i]) return;
-      const chaos::FaultSpec* spec = spec_of[i];
-      std::size_t staleness = 0;
-      if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kStraggler &&
-          in_window(*spec, t)) {
-        staleness = std::min(spec->staleness, history.size() - 1);
-      }
-      if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kByzantine &&
-          in_window(*spec, t)) {
-        staleness = 0;  // attacks see the freshest state
-      }
-      if (ctx.evaluator != nullptr) {
-        ctx.evaluator->evaluate_agent(ctx.agent_base + i, history[staleness], residual_ws[i],
-                                      payloads[i]);
-      } else {
-        payloads[i] = problem.costs[i]->gradient(history[staleness]);
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!emits[i]) continue;
-      const chaos::FaultSpec* spec = spec_of[i];
-      if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kStraggler &&
-          in_window(*spec, t) && history.size() > 1) {
-        ++ck.counters.stale_replies;
-      }
-    }
-
-    // What the adversary observes: non-Byzantine emitted replies.
-    std::vector<linalg::Vector> observed;
-    observed.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const chaos::FaultSpec* spec = spec_of[i];
-      if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kByzantine) continue;
-      if (!emits[i]) continue;
-      observed.push_back(payloads[i]);
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const chaos::FaultSpec* spec = spec_of[i];
-      if (spec == nullptr || spec->kind != chaos::FaultSpec::Kind::kByzantine ||
-          !in_window(*spec, t)) {
-        continue;
-      }
-      const linalg::Vector true_gradient = payloads[i];
-      const std::vector<linalg::Vector>* seen = observed.empty() ? nullptr : &observed;
-      const std::vector<linalg::Vector> fallback{true_gradient};
-      // Per-(agent, round) fork: no cross-round attack RNG state exists,
-      // so the checkpoint never has to carry it.
-      rng::Rng attack_rng =
-          root.fork("attack-" + std::to_string(i) + "-" + std::to_string(t));
-      attacks::AttackContext actx;
-      actx.iteration = t;
-      actx.agent_id = i;
-      actx.n = n;
-      actx.f = s.f;
-      actx.estimate = &x;
-      actx.honest_gradient = &true_gradient;
-      actx.honest_gradients = seen != nullptr ? seen : &fallback;
-      actx.rng = &attack_rng;
-      payloads[i] = attack_of[i]->craft(actx);
-      REDOPT_REQUIRE(payloads[i].size() == d, "runner: attack crafted a wrong-dimension vector");
-      ++ck.counters.byzantine_replies;
-    }
-
-    // --- Channel: drop / duplicate / delay, draws in agent order from
-    // this round's dedicated fork. ---
-    rng::Rng channel_rng = root.fork("channel-" + std::to_string(t));
-    std::vector<PendingReply> arrivals;
-    if (auto it = pending.find(t); it != pending.end()) {
-      arrivals = std::move(it->second);
-      pending.erase(it);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!emits[i]) continue;
-      PendingReply reply{i, t, t, payloads[i]};
-      if (s.channel.drop_probability > 0.0 &&
-          channel_rng.uniform() < s.channel.drop_probability) {
-        ++ck.counters.dropped_replies;
-        continue;
-      }
-      if (s.channel.duplicate_probability > 0.0 &&
-          channel_rng.uniform() < s.channel.duplicate_probability) {
-        ++ck.counters.duplicated_replies;
-        arrivals.push_back(reply);  // the extra copy lands on time
-      }
-      if (s.channel.max_delay > 0) {
-        const auto delay = static_cast<std::size_t>(
-            channel_rng.uniform_int(0, static_cast<std::int64_t>(s.channel.max_delay)));
-        if (delay > 0) {
-          ++ck.counters.delayed_replies;
-          reply.deliver_at = t + delay;
-          pending[t + delay].push_back(std::move(reply));
-          continue;
-        }
-      }
-      arrivals.push_back(std::move(reply));
-    }
-
-    // --- Receive: freshest reply per agent this round. ---
-    std::map<std::size_t, PendingReply> inbox;
-    for (PendingReply& reply : arrivals) {
-      auto [it, inserted] = inbox.try_emplace(reply.agent, std::move(reply));
-      if (inserted) continue;
-      if (reply.emitted > it->second.emitted) {
-        it->second = std::move(reply);
-      }
-      ++ck.counters.superseded_replies;
-    }
-
-    // --- Aggregate and step. ---
+  while (ran < max_rounds && !ck.finished()) {
+    kernel.step(ck.state);
     metric_rounds.inc();
-    if (!inbox.empty()) {
-      std::vector<linalg::Vector> received;
-      received.reserve(inbox.size());
-      for (auto& [agent, reply] : inbox) {
-        (void)agent;
-        received.push_back(std::move(reply.payload));
-      }
-      std::size_t f_used = 0;
-      const filters::FilterPtr& filter = filter_for(received.size(), &f_used);
-      if (received.size() != n || f_used != s.f) ++ck.counters.filter_rebuilds;
-      const linalg::Vector direction = filter->apply(received);
-      x = projection.project(x - direction * schedule.step(t));
-    }
-    history.push_front(x);
-    while (history.size() > max_staleness + 1) history.pop_back();
-
-    ck.next_round = t + 1;
-    if (!all_finite(x)) {
-      ck.nonfinite = true;
-      ck.nonfinite_round = t;
-      ++ran;
-      break;
-    }
-    ck.max_distance = std::max(ck.max_distance, linalg::distance(x, ctx.built->reference));
-  }
-
-  ck.x = x;
-
-  // Flatten the in-flight replies back into the checkpoint, delivery
-  // round ascending (map order), emission order within a round.
-  for (auto& [round, replies] : pending) {
-    (void)round;
-    for (PendingReply& reply : replies) ck.pending.push_back(std::move(reply));
+    ++ran;
   }
 
   metric_slices.inc();
@@ -326,27 +65,27 @@ std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, const Slice
 std::string job_manifest_json(const JobCheckpoint& ck, const chaos::MaterializedScenario& built,
                               double wall_seconds) {
   REDOPT_REQUIRE(ck.finished(), "manifest: job has rounds remaining");
-  const double final_distance = ck.nonfinite ? std::numeric_limits<double>::infinity()
-                                             : linalg::distance(ck.x, built.reference);
+  const chaos::RoundState& st = ck.state;
+  const double final_distance = chaos::scenario_result(st, built).final_distance;
 
   // Ship a per-job telemetry island through the same serialize -> parse
   // -> render pipeline the transport backends use, so the manifest's
   // telemetry section canonicalizes identically everywhere.
   telemetry::AgentTelemetry island;
-  island.registry.counter("serving.job.rounds").inc(ck.next_round);
-  island.registry.counter("serving.job.byzantine_replies").inc(ck.counters.byzantine_replies);
-  island.registry.counter("serving.job.crashed_absences").inc(ck.counters.crashed_absences);
-  island.registry.counter("serving.job.stale_replies").inc(ck.counters.stale_replies);
-  island.registry.counter("serving.job.dropped_replies").inc(ck.counters.dropped_replies);
-  island.registry.counter("serving.job.delayed_replies").inc(ck.counters.delayed_replies);
-  island.registry.counter("serving.job.duplicated_replies").inc(ck.counters.duplicated_replies);
-  island.registry.counter("serving.job.superseded_replies").inc(ck.counters.superseded_replies);
-  island.registry.counter("serving.job.filter_rebuilds").inc(ck.counters.filter_rebuilds);
+  island.registry.counter("serving.job.rounds").inc(st.next_round);
+  island.registry.counter("serving.job.byzantine_replies").inc(st.counters.byzantine_replies);
+  island.registry.counter("serving.job.crashed_absences").inc(st.counters.crashed_absences);
+  island.registry.counter("serving.job.stale_replies").inc(st.counters.stale_replies);
+  island.registry.counter("serving.job.dropped_replies").inc(st.counters.dropped_replies);
+  island.registry.counter("serving.job.delayed_replies").inc(st.counters.delayed_replies);
+  island.registry.counter("serving.job.duplicated_replies").inc(st.counters.duplicated_replies);
+  island.registry.counter("serving.job.superseded_replies").inc(st.counters.superseded_replies);
+  island.registry.counter("serving.job.filter_rebuilds").inc(st.counters.filter_rebuilds);
   if (std::isfinite(final_distance)) {
     island.registry.gauge("serving.job.final_distance").set(final_distance);
   }
-  island.registry.gauge("serving.job.initial_distance").set(ck.initial_distance);
-  island.registry.gauge("serving.job.max_distance").set(ck.max_distance);
+  island.registry.gauge("serving.job.initial_distance").set(st.initial_distance);
+  island.registry.gauge("serving.job.max_distance").set(st.max_distance);
   const std::string blob = telemetry::serialize_agent_telemetry(0, island);
   const telemetry::AgentSnapshot snapshot = telemetry::parse_agent_snapshot(blob);
   const std::string tele = telemetry::render_merged_manifest(telemetry::Snapshot{}, {snapshot});
@@ -354,23 +93,23 @@ std::string job_manifest_json(const JobCheckpoint& ck, const chaos::Materialized
   std::string out = "{";
   out += "\"job\":\"" + util::json_escape(ck.spec.job_id) + "\",";
   out += "\"scenario\":" + ck.spec.scenario.to_json() + ",";
-  out += "\"rounds\":" + std::to_string(ck.next_round) + ",";
+  out += "\"rounds\":" + std::to_string(st.next_round) + ",";
   out += "\"result\":{";
-  out += "\"initial_distance\":" + util::json_number(ck.initial_distance) + ",";
+  out += "\"initial_distance\":" + util::json_number(st.initial_distance) + ",";
   out += "\"final_distance\":" + util::json_number(final_distance) + ",";
-  out += "\"max_distance\":" + util::json_number(ck.max_distance) + ",";
-  out += "\"nonfinite\":" + std::string(ck.nonfinite ? "true" : "false") + ",";
-  out += "\"nonfinite_round\":" + std::to_string(ck.nonfinite_round) + ",";
-  out += "\"estimate\":" + vector_json(ck.x) + ",";
+  out += "\"max_distance\":" + util::json_number(st.max_distance) + ",";
+  out += "\"nonfinite\":" + std::string(st.nonfinite ? "true" : "false") + ",";
+  out += "\"nonfinite_round\":" + std::to_string(st.nonfinite_round) + ",";
+  out += "\"estimate\":" + vector_json(st.x) + ",";
   out += "\"counters\":{";
-  out += "\"byzantine_replies\":" + std::to_string(ck.counters.byzantine_replies) + ",";
-  out += "\"crashed_absences\":" + std::to_string(ck.counters.crashed_absences) + ",";
-  out += "\"stale_replies\":" + std::to_string(ck.counters.stale_replies) + ",";
-  out += "\"dropped_replies\":" + std::to_string(ck.counters.dropped_replies) + ",";
-  out += "\"delayed_replies\":" + std::to_string(ck.counters.delayed_replies) + ",";
-  out += "\"duplicated_replies\":" + std::to_string(ck.counters.duplicated_replies) + ",";
-  out += "\"superseded_replies\":" + std::to_string(ck.counters.superseded_replies) + ",";
-  out += "\"filter_rebuilds\":" + std::to_string(ck.counters.filter_rebuilds);
+  out += "\"byzantine_replies\":" + std::to_string(st.counters.byzantine_replies) + ",";
+  out += "\"crashed_absences\":" + std::to_string(st.counters.crashed_absences) + ",";
+  out += "\"stale_replies\":" + std::to_string(st.counters.stale_replies) + ",";
+  out += "\"dropped_replies\":" + std::to_string(st.counters.dropped_replies) + ",";
+  out += "\"delayed_replies\":" + std::to_string(st.counters.delayed_replies) + ",";
+  out += "\"duplicated_replies\":" + std::to_string(st.counters.duplicated_replies) + ",";
+  out += "\"superseded_replies\":" + std::to_string(st.counters.superseded_replies) + ",";
+  out += "\"filter_rebuilds\":" + std::to_string(st.counters.filter_rebuilds);
   out += "}},";
   out += "\"telemetry\":" + tele + ",";
   out += "\"nd\":{\"wall_s\":" + util::json_number(wall_seconds) + "}";

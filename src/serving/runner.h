@@ -1,26 +1,18 @@
 // The slice runner: resumable, deterministic execution of one job.
 //
-// This is the chaos executor's round loop restructured for checkpoint/
-// resume.  chaos::run_scenario draws channel and attack randomness from
-// streams forked once and advanced across rounds — private xoshiro
-// state a JSON checkpoint cannot carry.  The serving runner instead
-// derives every draw from per-round named forks of the scenario seed
-// ("channel-<t>", "attack-<agent>-<t>"), so the complete resumable
-// state is the small JobCheckpoint blob: iterate, straggler history,
-// in-flight delayed replies, counters.  Stop after any round, reload
-// the checkpoint in a fresh process, continue — the trajectory is bit-
-// identical to the uninterrupted run.
+// A job runs the same round kernel as chaos::run_scenario
+// (chaos/round.h), a slice at a time.  Every fault draw is a per-(agent,
+// round) named fork of the scenario seed, so the complete resumable
+// state is the small JobCheckpoint blob: the spec plus the kernel's
+// RoundState.  Stop after any round, reload the checkpoint in a fresh
+// process, continue — the trajectory is bit-identical to the
+// uninterrupted run and to chaos::run_scenario on every scenario
+// (AllDrivers in tests/test_chaos.cpp pins both).
 //
-// On scenarios without channel faults and without rng-consuming attacks
-// the per-round forks are never drawn from, and the runner's trajectory
-// equals chaos::run_scenario's bit for bit (tests pin this as the
-// cross-implementation oracle).
-//
-// Gradient emission fans out over runtime::parallel_for with per-index
-// slot writes, so results are thread-count independent; when the
-// scheduler supplies a (possibly cross-job) core::BatchGradientEvaluator
-// the runner routes per-agent evaluation through it, bit-identical to
-// the virtual cost path by the evaluator's contract.
+// When the scheduler supplies a (possibly cross-job)
+// core::BatchGradientEvaluator the kernel routes per-agent evaluation
+// through it, bit-identical to the virtual cost path by the evaluator's
+// contract.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +37,7 @@ struct SliceContext {
   std::size_t agent_base = 0;
 };
 
-/// The round-0 state of a job: x0 from the scenario seed (the same
-/// "x0" fork chaos::run_scenario uses), projected into the box, with
-/// initial distance recorded against the honest reference.
+/// The round-0 state of a job (chaos::initial_round_state).
 JobCheckpoint make_initial_checkpoint(const JobSpec& spec,
                                       const chaos::MaterializedScenario& built);
 

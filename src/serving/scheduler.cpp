@@ -168,7 +168,7 @@ std::optional<JobStatus> Scheduler::status(const std::string& job_id) const {
   JobStatus status;
   status.job_id = entry->spec.job_id;
   status.state = entry->state;
-  status.rounds_done = entry->checkpoint.next_round;
+  status.rounds_done = entry->checkpoint.state.next_round;
   status.rounds_total = entry->spec.scenario.rounds;
   return status;
 }
@@ -180,7 +180,7 @@ std::vector<JobStatus> Scheduler::list() const {
     JobStatus status;
     status.job_id = entry.spec.job_id;
     status.state = entry.state;
-    status.rounds_done = entry.checkpoint.next_round;
+    status.rounds_done = entry.checkpoint.state.next_round;
     status.rounds_total = entry.spec.scenario.rounds;
     out.push_back(std::move(status));
   }

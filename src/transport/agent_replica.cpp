@@ -1,46 +1,23 @@
 #include "transport/agent_replica.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "chaos/executor.h"
-#include "transport/channel.h"
+#include "chaos/round.h"
 #include "util/error.h"
 
 namespace redopt::transport {
-
-namespace {
-
-bool in_window(const chaos::FaultSpec& spec, std::size_t t) {
-  if (t < spec.from) return false;
-  return spec.until == 0 || t < spec.until;
-}
-
-std::size_t scenario_max_staleness(const chaos::Scenario& s) {
-  std::size_t max_staleness = 0;
-  for (const chaos::FaultSpec& spec : s.faults) {
-    if (spec.kind == chaos::FaultSpec::Kind::kStraggler) {
-      max_staleness = std::max(max_staleness, spec.staleness);
-    }
-  }
-  return max_staleness;
-}
-
-}  // namespace
 
 AgentReplica::AgentReplica(const chaos::Scenario& scenario,
                            const core::MultiAgentProblem& problem, std::size_t agent)
     : scenario_(scenario),
       problem_(problem),
       agent_(agent),
-      max_staleness_(scenario_max_staleness(scenario)),
-      spec_of_(scenario.n, nullptr),
-      attack_rng_(rng::Rng(scenario.seed).fork("byzantine-agent-" + std::to_string(agent))),
+      max_staleness_(scenario.max_staleness()),
       telemetry_(std::make_unique<telemetry::AgentTelemetry>()) {
   REDOPT_REQUIRE(agent < scenario.n, "agent replica: agent id out of range");
-  for (const chaos::FaultSpec& spec : scenario_.faults) spec_of_[spec.agent] = &spec;
-  const chaos::FaultSpec* own = spec_of_[agent_];
+  const chaos::FaultSpec* own = scenario_.fault_of(agent_);
   if (own != nullptr && own->kind == chaos::FaultSpec::Kind::kByzantine) {
     attack_ = chaos::make_scenario_attack(own->attack, own->attack_param);
   }
@@ -58,10 +35,10 @@ AgentReplica::AgentReplica(const chaos::Scenario& scenario,
 }
 
 linalg::Vector AgentReplica::honest_payload(std::size_t who, std::size_t round) const {
-  const chaos::FaultSpec* spec = spec_of_[who];
+  const chaos::FaultSpec* spec = scenario_.fault_of(who);
   std::size_t staleness = 0;
   if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kStraggler &&
-      in_window(*spec, round)) {
+      spec->in_window(round)) {
     staleness = std::min(spec->staleness, history_.size() - 1);
   }
   return problem_.costs[who]->gradient(history_[staleness]);
@@ -69,8 +46,8 @@ linalg::Vector AgentReplica::honest_payload(std::size_t who, std::size_t round) 
 
 std::vector<util::Frame> AgentReplica::on_round(std::size_t round, const linalg::Vector& estimate) {
   // Every branch below books into the island with exactly the semantics
-  // of the coordinator's fate() replay (session.cpp) — that one-to-one
-  // mirror is what the attribution report reconciles against.
+  // of the coordinator's round_fate() replay (session.cpp) — that
+  // one-to-one mirror is what the attribution report reconciles against.
   const std::uint64_t t = static_cast<std::uint64_t>(round);
   telemetry::ScopedSpan span(telemetry_->spans, "replica.round");
   span.attr("t", t);
@@ -91,7 +68,7 @@ std::vector<util::Frame> AgentReplica::on_round(std::size_t round, const linalg:
     delayed_.erase(it);
   }
 
-  const RoundFate what = fate(scenario_, agent_, round);
+  const chaos::RoundFate what = chaos::round_fate(scenario_, agent_, round);
   if (!what.emits) {
     m_crashed_.inc();
     note("replica.crashed");
@@ -120,10 +97,10 @@ std::vector<util::Frame> AgentReplica::on_round(std::size_t round, const linalg:
     std::vector<linalg::Vector> observed;
     observed.reserve(scenario_.n);
     for (std::size_t j = 0; j < scenario_.n; ++j) {
-      const chaos::FaultSpec* spec = spec_of_[j];
+      const chaos::FaultSpec* spec = scenario_.fault_of(j);
       if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kByzantine) continue;
       if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kCrash &&
-          in_window(*spec, round)) {
+          spec->in_window(round)) {
         continue;
       }
       observed.push_back(honest_payload(j, round));
@@ -137,7 +114,8 @@ std::vector<util::Frame> AgentReplica::on_round(std::size_t round, const linalg:
     ctx.estimate = &history_[0];
     ctx.honest_gradient = &true_gradient;
     ctx.honest_gradients = observed.empty() ? &fallback : &observed;
-    ctx.rng = &attack_rng_;
+    rng::Rng rng = chaos::attack_rng(scenario_.seed, agent_, round);
+    ctx.rng = &rng;
     payload = attack_->craft(ctx);
     REDOPT_REQUIRE(payload.size() == scenario_.d, "attack crafted a wrong-dimension vector");
   }
@@ -172,37 +150,6 @@ std::vector<util::Frame> AgentReplica::on_round(std::size_t round, const linalg:
   }
   m_frames_emitted_.inc(out.size());
   return out;
-}
-
-AgentReplica::RoundFate AgentReplica::fate(const chaos::Scenario& scenario, std::size_t agent,
-                                           std::size_t round) {
-  REDOPT_REQUIRE(agent < scenario.n, "agent replica: agent id out of range");
-  const chaos::FaultSpec* spec = nullptr;
-  for (const chaos::FaultSpec& candidate : scenario.faults) {
-    if (candidate.agent == agent) spec = &candidate;
-  }
-
-  RoundFate what;
-  if (spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kCrash && in_window(*spec, round)) {
-    what.emits = false;
-    return what;
-  }
-  what.byzantine = spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kByzantine &&
-                   in_window(*spec, round);
-  // A straggler reply only counts as stale once there is an older
-  // estimate to be stale against (round >= 1 — the executor's
-  // history.size() > 1 condition).
-  what.stale = spec != nullptr && spec->kind == chaos::FaultSpec::Kind::kStraggler &&
-               in_window(*spec, round) && round >= 1;
-
-  const ChannelDecision decision =
-      channel_decision(scenario.channel, scenario.seed, agent, round);
-  what.dropped = decision.drop;
-  if (!what.dropped) {
-    what.duplicated = decision.duplicate;
-    what.delay = decision.delay;
-  }
-  return what;
 }
 
 }  // namespace redopt::transport

@@ -2,21 +2,21 @@
 //
 // An AgentReplica is the "agent program" both transport backends run:
 // given the round's broadcast estimate it computes the frames this agent
-// puts on the wire — applying its own fault spec (crash windows,
-// Byzantine attacks, straggler staleness) and its own channel faults
-// (drop / duplicate / delay, from the pure per-(agent, round) streams in
-// channel.h).  All state is per-agent: estimate history, the delayed-
-// frame buffer, the attack's named RNG stream.  The inproc backend runs
-// n replicas in one process; the socket backend runs each replica inside
-// its own forked agent process — and because nothing here reads shared
-// mutable state or unshared randomness, both executions emit
-// bit-identical frames.
+// puts on the wire, under its own chaos::round_fate() (crash windows,
+// Byzantine attacks, straggler staleness, and the channel's drop /
+// duplicate / delay).  Its attack draws from chaos::attack_rng(), the
+// same per-(agent, round) fork the round kernel uses.  All state is
+// per-agent: estimate history and the delayed-frame buffer.  The inproc
+// backend runs n replicas in one process; the socket backend runs each
+// replica inside its own forked agent process — and because nothing here
+// reads shared mutable state or unshared randomness, both executions
+// emit bit-identical frames.
 //
 // Byzantine omniscience survives the process split the same way: an
 // attacking replica *recomputes* the honest agents' gradients locally
 // from its (fork-copied) problem instance instead of observing them over
 // the network — deterministic, and exactly the adversary model the
-// in-process chaos executor implements.
+// in-process round kernel implements.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@
 #include "chaos/scenario.h"
 #include "core/problem.h"
 #include "linalg/vector.h"
-#include "rng/rng.h"
 #include "telemetry/ship.h"
 #include "util/frame.h"
 
@@ -52,25 +51,12 @@ class AgentReplica {
   std::size_t agent() const { return agent_; }
 
   /// This replica's private telemetry island (see telemetry/ship.h):
-  /// replica.* counters mirroring fate() exactly, a gradient-norm
+  /// replica.* counters mirroring chaos::round_fate() exactly (the
+  /// coordinator replays the same fates for accounting), a gradient-norm
   /// histogram, and a replica.round span per on_round call.  Recorded
   /// unconditionally — the global telemetry switch is fork-inherited
   /// state, so gating on it would let the backends diverge.
   const telemetry::AgentTelemetry& telemetry() const { return *telemetry_; }
-
-  /// What the fault schedule does to @p agent in @p round — a pure
-  /// function of the scenario, replayed coordinator-side to fill the
-  /// ScenarioResult fault counters without any backchannel from the
-  /// agents.
-  struct RoundFate {
-    bool emits = true;       ///< false during a crash window
-    bool byzantine = false;  ///< reply is attack-crafted
-    bool stale = false;      ///< straggler reply computed on an old estimate
-    bool dropped = false;
-    bool duplicated = false;
-    std::size_t delay = 0;  ///< rounds the original reply is late
-  };
-  static RoundFate fate(const chaos::Scenario& scenario, std::size_t agent, std::size_t round);
 
  private:
   /// Gradient agent @p who would submit this round (staleness-adjusted);
@@ -81,10 +67,8 @@ class AgentReplica {
   const chaos::Scenario& scenario_;
   const core::MultiAgentProblem& problem_;
   std::size_t agent_;
-  std::size_t max_staleness_ = 0;  ///< scenario-wide, so history depth matches the executor
-  std::vector<const chaos::FaultSpec*> spec_of_;
+  std::size_t max_staleness_ = 0;  ///< scenario-wide, so history depth matches the kernel
   std::unique_ptr<attacks::Attack> attack_;
-  rng::Rng attack_rng_;
   std::deque<linalg::Vector> history_;  ///< history_[s] is the estimate of round - s
   std::map<std::size_t, std::vector<util::Frame>> delayed_;
 

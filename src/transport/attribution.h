@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "chaos/executor.h"
+#include "chaos/round.h"
 #include "telemetry/ship.h"
-#include "transport/agent_replica.h"
 #include "transport/topology.h"
 #include "transport/transport.h"
 #include "util/frame.h"
@@ -109,7 +109,7 @@ class AttributionBuilder {
   /// Books one exchange's delivered frames (post-canonicalization).
   void on_exchange(const std::vector<util::Frame>& frames);
   /// Books agent @p agent's replayed fate for the current round.
-  void on_fate(std::size_t agent, const AgentReplica::RoundFate& fate);
+  void on_fate(std::size_t agent, const chaos::RoundFate& fate);
   /// Books one superseded arrival from @p agent.
   void on_superseded(std::uint32_t agent);
 

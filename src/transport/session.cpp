@@ -7,10 +7,10 @@
 #include <memory>
 #include <utility>
 
+#include "chaos/round.h"
 #include "core/aggregate_cost.h"
 #include "dgd/projection.h"
 #include "dgd/schedule.h"
-#include "filters/registry.h"
 #include "rng/rng.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -121,41 +121,8 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
   const std::unique_ptr<Transport> transport =
       make_transport(options, n, std::move(agent_fn), std::move(telemetry_fn));
 
-  // Round-local filters, cached by the (reply count, fault budget) they
-  // were built for — the same (n, f) fallback chain as the executor.
-  std::map<std::pair<std::size_t, std::size_t>, filters::FilterPtr> filter_cache;
-  auto filter_for = [&](std::size_t n_round, std::size_t* f_used) -> const filters::FilterPtr& {
-    std::size_t f_try = std::min(scenario.f, n_round == 0 ? std::size_t{0} : n_round - 1);
-    while (true) {
-      const auto key = std::make_pair(n_round, f_try);
-      auto it = filter_cache.find(key);
-      if (it != filter_cache.end()) {
-        *f_used = f_try;
-        return it->second;
-      }
-      try {
-        filters::FilterParams fp;
-        fp.n = n_round;
-        fp.f = f_try;
-        auto made = filters::FilterPtr(filters::make_filter(scenario.filter, fp));
-        *f_used = f_try;
-        return filter_cache.emplace(key, std::move(made)).first->second;
-      } catch (const PreconditionError&) {
-        if (f_try == 0) break;
-        --f_try;
-      }
-    }
-    // Even f = 0 failed (e.g. krum with too few replies): degrade to the
-    // plain average so the execution stays total.
-    const auto key = std::make_pair(n_round, std::size_t{0});
-    auto it = filter_cache.find(key);
-    *f_used = 0;
-    if (it != filter_cache.end()) return it->second;
-    filters::FilterParams fp;
-    fp.n = n_round;
-    fp.f = 0;
-    return filter_cache.emplace(key, filters::make_filter("mean", fp)).first->second;
-  };
+  // The round kernel's (n, f) fallback chain.
+  chaos::FilterCache filter_cache(scenario.filter);
 
   const dgd::HarmonicSchedule schedule(
       chaos::scenario_schedule_coefficient(scenario.filter, n, scenario.f));
@@ -193,7 +160,7 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
     // of trusting counters from the other side of the wire — identical
     // on both backends by construction.
     for (std::size_t i = 0; i < n; ++i) {
-      const AgentReplica::RoundFate fate = AgentReplica::fate(scenario, i, t);
+      const chaos::RoundFate fate = chaos::round_fate(scenario, i, t);
       attribution.on_fate(i, fate);
       if (!fate.emits) {
         ++result.crashed_absences;
@@ -247,7 +214,7 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
         received.push_back(linalg::Vector(reply.frame->payload));
       }
       std::size_t f_used = 0;
-      const filters::FilterPtr& filter = filter_for(received.size(), &f_used);
+      const filters::FilterPtr& filter = filter_cache.get(received.size(), scenario.f, &f_used);
       if (received.size() != n || f_used != scenario.f) {
         ++result.filter_rebuilds;
         telemetry::span_instant("session.filter_rebuild",

@@ -6,13 +6,13 @@
 //   run_scenario_transport — executes a chaos::Scenario round loop with
 //     the agents behind a Transport (in-process or multi-process socket
 //     backend, any reduction topology).  Mirrors chaos::run_scenario's
-//     aggregation semantics (freshest-reply dedup, filter (n, f)
-//     fallback, harmonic schedule, box projection) with the fault
-//     schedule evaluated inside AgentReplica; channel faults come from
-//     the pure per-(agent, round) streams of channel.h, so the two
-//     backends produce byte-identical estimate traces — the pinned
-//     cross-backend suite in tests/test_transport.cpp enforces exactly
-//     that.
+//     aggregation semantics (freshest-reply dedup, the chaos::FilterCache
+//     (n, f) fallback, harmonic schedule, box projection) with the fault
+//     schedule evaluated inside AgentReplica from the pure per-(agent,
+//     round) chaos::round_fate(), so the two backends produce
+//     byte-identical estimate traces (the pinned cross-backend suite in
+//     tests/test_transport.cpp) and match the executor bit for bit
+//     (AllDrivers in tests/test_chaos.cpp).
 //
 //   run_dgd — the message-passing dgd trainer over a Transport, same
 //     contract as net::run_server_protocol (and hence bit-identical to

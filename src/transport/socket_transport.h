@@ -10,7 +10,7 @@
 //
 // Determinism: the processes only *move* frames; every decision that
 // shapes the byte stream (who emits, attacks, channel faults) is made by
-// the AgentFn from per-agent named RNG streams, and the coordinator
+// the AgentFn from per-(agent, round) named RNG forks, and the coordinator
 // canonicalizes arrivals by (agent, emitted).  So a healthy run is
 // bit-identical to the in-process backend — the cross-backend oracle the
 // transport tests enforce.

@@ -2,24 +2,40 @@
 // satisfy the paper's convergence guarantees (Theorem 3 regime) or degrade
 // gracefully, bit-identically at any thread count.  A failing scenario is
 // shrunk to a minimal JSON reproducer replayable with tools/chaos-replay.
+//
+// The all-drivers contract lives here too: every generated scenario runs
+// through the executor, the serving slice runner, the in-process
+// transport session and the churn-free elastic session, and all four
+// must agree bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chaos/executor.h"
 #include "chaos/generator.h"
 #include "chaos/properties.h"
+#include "chaos/round.h"
 #include "chaos/scenario.h"
 #include "chaos/shrink.h"
+#include "elastic/membership.h"
+#include "elastic/session.h"
 #include "filters/gradient_filter.h"
 #include "filters/registry.h"
 #include "runtime/runtime.h"
+#include "serving/checkpoint.h"
+#include "serving/job.h"
+#include "serving/runner.h"
+#include "transport/session.h"
 #include "util/error.h"
+#include "util/json.h"
 
 using namespace redopt;
 using linalg::Vector;
@@ -35,6 +51,16 @@ std::string reproducer_for(const chaos::Scenario& failing,
                            const chaos::ScenarioPredicate& still_fails) {
   const chaos::ShrinkOutcome outcome = chaos::shrink(failing, still_fails);
   return outcome.scenario.to_json();
+}
+
+chaos::FaultSpec fault(chaos::FaultSpec::Kind kind, std::size_t agent, std::size_t from,
+                       std::size_t until) {
+  chaos::FaultSpec spec;
+  spec.kind = kind;
+  spec.agent = agent;
+  spec.from = from;
+  spec.until = until;
+  return spec;
 }
 
 }  // namespace
@@ -334,4 +360,334 @@ TEST(ChaosSuite, AdaptiveAttacksAreRegisteredInScenarioVocabulary) {
   const auto& names = chaos::scenario_attack_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "camouflage"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "orthogonal_drift"), names.end());
+}
+
+// ---------------------------------------------------------------------------
+// The fault schedule: per-(agent, round) channel decisions and fates
+// (suite names kept from test_transport so the cases keep their ids).
+// ---------------------------------------------------------------------------
+
+TEST(TransportChannel, ZeroedFaultsAreIdentity) {
+  const chaos::ChannelFaults none;
+  for (std::size_t agent = 0; agent < 4; ++agent) {
+    const auto decision = chaos::channel_decision(none, 7, agent, agent * 3);
+    EXPECT_FALSE(decision.drop);
+    EXPECT_FALSE(decision.duplicate);
+    EXPECT_EQ(decision.delay, 0u);
+  }
+}
+
+TEST(TransportChannel, DecisionsArePureInSeedAgentRound) {
+  chaos::ChannelFaults faults;
+  faults.drop_probability = 0.3;
+  faults.duplicate_probability = 0.3;
+  faults.max_delay = 3;
+  // Same key, same decision — regardless of evaluation order or count.
+  for (std::size_t agent = 0; agent < 6; ++agent) {
+    for (std::size_t round = 0; round < 10; ++round) {
+      const auto a = chaos::channel_decision(faults, 42, agent, round);
+      const auto b = chaos::channel_decision(faults, 42, agent, round);
+      EXPECT_EQ(a.drop, b.drop);
+      EXPECT_EQ(a.duplicate, b.duplicate);
+      EXPECT_EQ(a.delay, b.delay);
+    }
+  }
+  // Different seeds decouple the streams.
+  bool any_difference = false;
+  for (std::size_t round = 0; round < 40 && !any_difference; ++round) {
+    const auto a = chaos::channel_decision(faults, 1, 0, round);
+    const auto b = chaos::channel_decision(faults, 2, 0, round);
+    any_difference = a.drop != b.drop || a.duplicate != b.duplicate || a.delay != b.delay;
+  }
+  EXPECT_TRUE(any_difference);
+}
+
+TEST(TransportChannel, DropShortCircuitsDuplicateAndDelay) {
+  chaos::ChannelFaults faults;
+  faults.drop_probability = 1.0;
+  faults.duplicate_probability = 1.0;
+  faults.max_delay = 3;
+  for (std::size_t round = 0; round < 10; ++round) {
+    const auto decision = chaos::channel_decision(faults, 9, 0, round);
+    EXPECT_TRUE(decision.drop);
+  }
+}
+
+TEST(AgentReplicaFate, MirrorsTheFaultSchedule) {
+  chaos::Scenario s;
+  s.name = "fate";
+  s.seed = 23;
+  s.n = 6;
+  s.f = 1;
+  s.d = 2;
+  s.rounds = 30;
+  chaos::FaultSpec byz = fault(chaos::FaultSpec::Kind::kByzantine, 0, 2, 5);
+  chaos::FaultSpec straggler = fault(chaos::FaultSpec::Kind::kStraggler, 2, 1, 0);
+  straggler.staleness = 2;
+  s.faults = {byz, fault(chaos::FaultSpec::Kind::kCrash, 1, 1, 4), straggler};
+
+  EXPECT_FALSE(chaos::round_fate(s, 0, 1).byzantine);
+  EXPECT_TRUE(chaos::round_fate(s, 0, 2).byzantine);
+  EXPECT_FALSE(chaos::round_fate(s, 0, 5).byzantine);
+
+  EXPECT_TRUE(chaos::round_fate(s, 1, 0).emits);
+  EXPECT_FALSE(chaos::round_fate(s, 1, 3).emits);
+  EXPECT_TRUE(chaos::round_fate(s, 1, 4).emits);
+
+  // A straggler is only *stale* once an older estimate exists (round 1+).
+  EXPECT_FALSE(chaos::round_fate(s, 2, 0).stale);
+  EXPECT_TRUE(chaos::round_fate(s, 2, 1).stale);
+  // Healthy agent, no channel faults: plain emission.
+  const auto healthy = chaos::round_fate(s, 4, 3);
+  EXPECT_TRUE(healthy.emits);
+  EXPECT_FALSE(healthy.byzantine || healthy.stale || healthy.dropped || healthy.duplicated);
+}
+
+// ---------------------------------------------------------------------------
+// The all-drivers contract: one fault schedule, one trajectory
+// ---------------------------------------------------------------------------
+
+namespace {
+
+#ifndef REDOPT_TESTS_DIR
+#error "tests/CMakeLists.txt must define REDOPT_TESTS_DIR"
+#endif
+
+std::string read_text(const std::string& relative) {
+  std::ifstream in(std::string(REDOPT_TESTS_DIR) + "/" + relative, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << relative;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_bits(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool same_trace(const std::vector<Vector>& a, const std::vector<Vector>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    if (!same_bits(a[t], b[t])) return false;
+  }
+  return true;
+}
+
+/// Runs @p s as a serving job in slices of @p slice rounds, with the
+/// checkpoint serialized and re-parsed between slices (a restart at
+/// every boundary).
+chaos::ScenarioResult serve_in_slices(const chaos::Scenario& s,
+                                      const chaos::MaterializedScenario& built,
+                                      std::size_t slice) {
+  serving::JobSpec spec;
+  spec.job_id = "contract";
+  spec.scenario = s;
+  serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
+  serving::SliceContext ctx;
+  ctx.built = &built;
+  while (!ck.finished()) {
+    serving::run_job_slice(ck, slice, ctx);
+    ck = serving::checkpoint_from_json(ck.to_json());
+  }
+  return chaos::scenario_result(ck.state, built);
+}
+
+transport::SessionOptions inproc_tree() {
+  transport::SessionOptions options;
+  options.backend = transport::BackendKind::kInproc;
+  options.topology = transport::Topology::kTree;
+  return options;
+}
+
+/// Every driver's run of one fixed-membership scenario.
+struct DriverRuns {
+  chaos::ScenarioResult executor;
+  std::vector<std::pair<std::string, chaos::ScenarioResult>> others;
+  transport::ScenarioSession session;
+  elastic::ElasticSession churn_free;
+};
+
+DriverRuns run_all_drivers(const chaos::Scenario& s) {
+  DriverRuns runs;
+  runs.executor = chaos::run_scenario(s);
+  const chaos::MaterializedScenario built = chaos::materialize_scenario(s);
+  for (const std::size_t slice : {std::size_t{1}, std::size_t{5}, std::size_t{7}, s.rounds}) {
+    runs.others.emplace_back("serving/" + std::to_string(slice), serve_in_slices(s, built, slice));
+  }
+  runs.session = transport::run_scenario_transport(s, inproc_tree());
+  runs.others.emplace_back("transport", runs.session.result);
+  runs.churn_free = elastic::run_elastic(s);
+  runs.others.emplace_back("elastic", runs.churn_free.result);
+  return runs;
+}
+
+/// The drivers that disagree with the executor on @p s (empty when all
+/// four agree bit for bit).
+std::string disagreeing_drivers(const chaos::Scenario& s) {
+  const DriverRuns runs = run_all_drivers(s);
+  std::string out;
+  for (const auto& [driver, result] : runs.others) {
+    if (!chaos::bit_identical(runs.executor, result) ||
+        !same_bits(runs.executor.estimate, result.estimate)) {
+      out += " " + driver;
+    }
+  }
+  // The two coordinator loops record whole traces: those agree too.
+  if (!same_trace(runs.session.estimates, runs.churn_free.estimates)) out += " elastic-trace";
+  // A churn-free elastic session books no membership change at all.
+  const elastic::ElasticSession& e = runs.churn_free;
+  if (e.joins != 0 || e.leaves != 0 || e.absent_agent_rounds != 0 ||
+      e.member_agent_rounds != static_cast<std::uint64_t>(s.n) * s.rounds) {
+    out += " elastic-membership";
+  }
+  return out;
+}
+
+/// Inputs of the pairwise oracles (ScenarioSession and ElasticCrossBackend
+/// in test_transport/test_elastic, Runner in test_serving): the
+/// channel-free transport-vs-executor trio, the fault-free
+/// serving-vs-executor job, and the churn-free elastic anchor — here run
+/// through every driver.
+std::vector<chaos::Scenario> pairwise_oracle_inputs() {
+  std::vector<chaos::Scenario> inputs;
+  chaos::Scenario s;
+  s.problem = "mean";
+  s.filter = "cge";
+  s.n = 6;
+  s.f = 1;
+  s.d = 2;
+  s.rounds = 30;
+
+  s.name = "exec-clean";
+  s.seed = 41;
+  inputs.push_back(s);
+
+  s.name = "exec-byz";
+  s.seed = 42;
+  s.faults = {fault(chaos::FaultSpec::Kind::kByzantine, 1, 0, 0)};
+  inputs.push_back(s);
+
+  s.name = "exec-crash-straggler";
+  s.seed = 43;
+  s.n = 8;
+  s.f = 2;
+  chaos::FaultSpec straggler = fault(chaos::FaultSpec::Kind::kStraggler, 4, 1, 0);
+  straggler.staleness = 2;
+  s.faults = {fault(chaos::FaultSpec::Kind::kCrash, 0, 1, 9), straggler};
+  inputs.push_back(s);
+
+  chaos::Scenario clean;
+  clean.name = "serving-clean";
+  clean.seed = 17;
+  clean.problem = "regression";
+  clean.filter = "cge";
+  clean.n = 8;
+  clean.f = 2;
+  clean.d = 2;
+  clean.rounds = 30;
+  inputs.push_back(clean);
+
+  chaos::Scenario anchor = elastic::make_churn_scenario(elastic::ChurnProfile::kJoinHeavy, 11);
+  anchor.membership.clear();
+  anchor.name = "churn-free-anchor";
+  inputs.push_back(anchor);
+
+  for (const chaos::Scenario& input : inputs) input.validate();
+  return inputs;
+}
+
+}  // namespace
+
+TEST(AllDrivers, BitIdenticalOnEveryGeneratedScenario) {
+  constexpr std::size_t kDraws = 200;
+  chaos::GeneratorSpec spec;
+  spec.elastic_probability = 0.0;
+  chaos::Generator generator(spec, kMasterSeed);
+  std::size_t disagreeing = 0;
+  std::string first;
+  for (std::size_t k = 0; k < kDraws; ++k) {
+    const chaos::Scenario s = generator.next();
+    ASSERT_FALSE(s.elastic()) << s.name;
+    const std::string drivers = disagreeing_drivers(s);
+    if (drivers.empty()) continue;
+    if (++disagreeing <= 5) first += "\n  " + s.name + ":" + drivers;
+  }
+  EXPECT_EQ(disagreeing, 0u) << disagreeing << " of " << kDraws
+                             << " generated scenarios disagree across drivers, e.g." << first;
+
+  for (const chaos::Scenario& s : pairwise_oracle_inputs()) {
+    EXPECT_EQ(disagreeing_drivers(s), "") << s.name;
+  }
+
+  // Churning draws: the in-process oracle and the in-process transport
+  // agree on every one.
+  chaos::GeneratorSpec churny;
+  churny.elastic_probability = 1.0;
+  chaos::Generator elastic_generator(churny, kMasterSeed);
+  std::size_t churning = 0;
+  for (std::size_t k = 0; k < 50; ++k) {
+    const chaos::Scenario s = elastic_generator.next();
+    churning += s.elastic() ? 1 : 0;
+    const elastic::ElasticSession oracle = elastic::run_elastic(s);
+    const elastic::ElasticSession inproc = elastic::run_elastic_transport(s, inproc_tree());
+    EXPECT_TRUE(elastic::bit_identical(oracle, inproc)) << s.name;
+  }
+  EXPECT_GE(churning, 25u);
+}
+
+TEST(AllDrivers, BitIdenticalToTheFaultyLossyGolden) {
+  // tests/golden/chaos_faulty_lossy.json pins the in-process session on
+  // the committed faulty, lossy scenario (test_golden_traces); the other
+  // drivers must land on exactly those bits.
+  const chaos::Scenario s =
+      chaos::scenario_from_json(read_text("scenarios/faulty_lossy_n8_cge.json"));
+  const util::JsonValue golden = util::json_parse(read_text("golden/chaos_faulty_lossy.json"));
+  const util::JsonValue& counters = golden.at("counters");
+  const auto matches_golden = [&](const chaos::ScenarioResult& r) {
+    const auto& estimate = golden.at("final_estimate").as_array();
+    if (estimate.size() != r.estimate.size()) return false;
+    for (std::size_t i = 0; i < estimate.size(); ++i) {
+      if (!same_bits(estimate[i].as_number(), r.estimate[i])) return false;
+    }
+    const auto count = [&](const char* name) {
+      return static_cast<std::uint64_t>(counters.at(name).as_int(0, 1 << 30));
+    };
+    return same_bits(golden.at("initial_distance").as_number(), r.initial_distance) &&
+           same_bits(golden.at("final_distance").as_number(), r.final_distance) &&
+           same_bits(golden.at("max_distance").as_number(), r.max_distance) &&
+           count("byzantine_replies") == r.byzantine_replies &&
+           count("crashed_absences") == r.crashed_absences &&
+           count("stale_replies") == r.stale_replies &&
+           count("dropped_replies") == r.dropped_replies &&
+           count("delayed_replies") == r.delayed_replies &&
+           count("duplicated_replies") == r.duplicated_replies &&
+           count("superseded_replies") == r.superseded_replies &&
+           count("filter_rebuilds") == r.filter_rebuilds;
+  };
+
+  const DriverRuns runs = run_all_drivers(s);
+  EXPECT_TRUE(matches_golden(runs.executor)) << "executor";
+  for (const auto& [driver, result] : runs.others) {
+    EXPECT_TRUE(matches_golden(result)) << driver;
+  }
+  std::vector<Vector> trace;
+  for (const util::JsonValue& row : golden.at("estimates").as_array()) {
+    Vector x(row.as_array().size());
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = row.as_array()[i].as_number();
+    trace.push_back(x);
+  }
+  EXPECT_TRUE(same_trace(runs.churn_free.estimates, trace));
+  // The scenario exercises what it claims: every fault kind fires.
+  EXPECT_GT(runs.executor.byzantine_replies, 0u);
+  EXPECT_GT(runs.executor.crashed_absences, 0u);
+  EXPECT_GT(runs.executor.stale_replies, 0u);
+  EXPECT_GT(runs.executor.dropped_replies, 0u);
+  EXPECT_GT(runs.executor.duplicated_replies, 0u);
+  EXPECT_GT(runs.executor.delayed_replies, 0u);
 }

@@ -16,11 +16,13 @@
 #include <string>
 
 #include "attacks/registry.h"
+#include "chaos/scenario.h"
 #include "data/regression.h"
 #include "dgd/trainer.h"
 #include "elastic/membership.h"
 #include "elastic/session.h"
 #include "filters/registry.h"
+#include "transport/session.h"
 #include "util/json.h"
 
 using namespace redopt;
@@ -134,6 +136,45 @@ std::string elastic_trace_json(const std::string& name, const chaos::Scenario& s
   return os.str();
 }
 
+/// Serializes the deterministic observables of a fixed-membership
+/// transport session: the scenario, the estimate trace and every fault
+/// counter.
+std::string session_trace_json(const std::string& name, const chaos::Scenario& scenario,
+                               const transport::ScenarioSession& session) {
+  const chaos::ScenarioResult& r = session.result;
+  std::ostringstream os;
+  os << "{\"case\":\"" << util::json_escape(name) << "\"";
+  os << ",\"scenario\":" << scenario.to_json();
+  os << ",\"final_estimate\":" << vector_json(r.estimate);
+  os << ",\"reference\":" << vector_json(r.reference);
+  os << ",\"initial_distance\":" << util::json_number(r.initial_distance);
+  os << ",\"final_distance\":" << util::json_number(r.final_distance);
+  os << ",\"max_distance\":" << util::json_number(r.max_distance);
+  os << ",\"counters\":{\"byzantine_replies\":" << r.byzantine_replies
+     << ",\"crashed_absences\":" << r.crashed_absences
+     << ",\"stale_replies\":" << r.stale_replies
+     << ",\"dropped_replies\":" << r.dropped_replies
+     << ",\"delayed_replies\":" << r.delayed_replies
+     << ",\"duplicated_replies\":" << r.duplicated_replies
+     << ",\"superseded_replies\":" << r.superseded_replies
+     << ",\"filter_rebuilds\":" << r.filter_rebuilds << "}";
+  os << ",\"estimates\":[";
+  for (std::size_t k = 0; k < session.estimates.size(); ++k) {
+    if (k > 0) os << ",";
+    os << vector_json(session.estimates[k]);
+  }
+  os << "]}\n";
+  return os.str();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 void compare_or_update(const std::string& name, const std::string& actual) {
   const std::string path = golden_path(name);
 
@@ -186,6 +227,18 @@ TEST(GoldenTraces, ElasticChurnLeaveHeavy) {
   check_elastic_golden("elastic_churn_leave_heavy", elastic::ChurnProfile::kLeaveHeavy);
 }
 
+// A faulty, lossy fixed-membership round: a `random` Byzantine agent, a
+// crash window, a straggler, and a dropping/duplicating/delaying channel,
+// run as an in-process transport session.  AllDrivers in test_chaos ties
+// the executor, the serving runner and the elastic session to these bits.
+TEST(GoldenTraces, ChaosFaultyLossy) {
+  const chaos::Scenario scenario = chaos::scenario_from_json(
+      read_file(std::string(REDOPT_GOLDEN_DIR) + "/../scenarios/faulty_lossy_n8_cge.json"));
+  const transport::ScenarioSession session = transport::run_scenario_transport(scenario);
+  compare_or_update("chaos_faulty_lossy",
+                    session_trace_json("chaos_faulty_lossy", scenario, session));
+}
+
 // The golden files pin parsed-and-reserialized stability too: loading a
 // golden through the strict JSON parser and re-emitting its numbers must
 // not change a byte (the parser keeps integers exact and json_number
@@ -193,21 +246,22 @@ TEST(GoldenTraces, ElasticChurnLeaveHeavy) {
 TEST(GoldenTraces, GoldenFilesParseCleanly) {
   for (const std::string name :
        {"gradient_reverse_cge", "gradient_reverse_cwtm", "lie_cge", "lie_cwtm", "ipm_cge",
-        "ipm_cwtm", "elastic_churn_join_heavy", "elastic_churn_leave_heavy"}) {
+        "ipm_cwtm", "elastic_churn_join_heavy", "elastic_churn_leave_heavy",
+        "chaos_faulty_lossy"}) {
     std::ifstream in(golden_path(name), std::ios::binary);
     if (!in.good()) continue;  // covered by the per-case tests above
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const util::JsonValue doc = util::json_parse(buffer.str());
     EXPECT_EQ(doc.at("case").as_string(), name);
-    if (name.rfind("elastic_", 0) == 0) {
+    if (doc.find("scenario") != nullptr) {
       EXPECT_GE(doc.at("estimates").as_array().size(), 2u);
       // The embedded scenario round-trips through the strict parser and
       // still validates — goldens double as schema regression fixtures.
       const chaos::Scenario parsed =
           chaos::scenario_from_json(util::json_serialize(doc.at("scenario")));
       EXPECT_NO_THROW(parsed.validate());
-      EXPECT_TRUE(parsed.elastic());
+      EXPECT_EQ(parsed.elastic(), name.rfind("elastic_", 0) == 0);
     } else {
       EXPECT_GE(doc.at("iterations").as_array().size(), 2u);
     }

@@ -145,18 +145,21 @@ TEST(Kernels, MatvecMatchesRowWiseDots) {
 
 TEST(Kernels, MatvecTransposedMatchesAscendingRowAccumulation) {
   const std::size_t rows = 23;
-  const std::size_t cols = 9;
-  auto a = values(rows * cols, 80);
-  auto x = values(rows, 81);
-  x[4] = 0.0;  // exercise the exact-zero row skip
-  std::vector<double> out(cols, 123.0);  // kernel must zero-init
-  kernels::matvec_transposed(a.data(), rows, cols, x.data(), out.data());
-  std::vector<double> reference(cols, 0.0);
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (x[i] == 0.0) continue;
-    for (std::size_t j = 0; j < cols; ++j) reference[j] += a[i * cols + j] * x[i];
+  // Column counts below, at and above the kernel's eight-column pass:
+  // tail only, one pass plus a tail, and whole passes only.
+  for (const std::size_t cols : {std::size_t{3}, std::size_t{9}, std::size_t{16}}) {
+    auto a = values(rows * cols, 80);
+    auto x = values(rows, 81);
+    x[4] = 0.0;  // exercise the exact-zero row skip
+    std::vector<double> out(cols, 123.0);  // kernel must zero-init
+    kernels::matvec_transposed(a.data(), rows, cols, x.data(), out.data());
+    std::vector<double> reference(cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (x[i] == 0.0) continue;
+      for (std::size_t j = 0; j < cols; ++j) reference[j] += a[i * cols + j] * x[i];
+    }
+    EXPECT_EQ(out, reference) << "cols " << cols;  // strict order in both modes
   }
-  EXPECT_EQ(out, reference);  // strict order in both modes
 }
 
 TEST(Kernels, GemmAddMatchesNaiveTripleLoop) {

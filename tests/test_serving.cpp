@@ -9,9 +9,11 @@
 // simulated crash at every boundary) ends in the same bytes as an
 // uninterrupted run, a fault-free serving trajectory equals the chaos
 // executor's, and the cross-job stacked evaluator equals the virtual
-// cost path down to the final manifest.
+// cost path down to the final manifest.  That a serving job equals the
+// chaos executor on every scenario is AllDrivers in test_chaos.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -187,10 +189,10 @@ TEST(Checkpoint, RoundTripsThroughJsonBitExactly) {
   const std::string json = ck.to_json();
   const serving::JobCheckpoint back = serving::checkpoint_from_json(json);
   EXPECT_EQ(back.to_json(), json);
-  EXPECT_EQ(back.next_round, ck.next_round);
-  EXPECT_EQ(back.counters, ck.counters);
-  EXPECT_EQ(back.pending.size(), ck.pending.size());
-  expect_bytes_equal(back.x, ck.x);
+  EXPECT_EQ(back.state.next_round, ck.state.next_round);
+  EXPECT_EQ(back.state.counters, ck.state.counters);
+  EXPECT_EQ(back.state.pending.size(), ck.state.pending.size());
+  expect_bytes_equal(back.state.x, ck.state.x);
 }
 
 TEST(Checkpoint, SubnormalValuesRoundTripBitExactly) {
@@ -204,16 +206,17 @@ TEST(Checkpoint, SubnormalValuesRoundTripBitExactly) {
   serving::run_job_slice(ck, 17, ctx);
   const double tiny = std::numeric_limits<double>::denorm_min();
   const double subnormals[] = {tiny, -tiny, 1e-310, -1e-310};
-  for (std::size_t i = 0; i < ck.x.size(); ++i) ck.x[i] = subnormals[i % 4];
-  ASSERT_GE(ck.history.size(), 2u);
-  ck.history.front() = ck.x;  // the window's newest entry is the iterate
-  for (std::size_t i = 0; i < ck.history[1].size(); ++i) ck.history[1][i] = subnormals[(i + 2) % 4];
+  chaos::RoundState& st = ck.state;
+  for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] = subnormals[i % 4];
+  ASSERT_GE(st.history.size(), 2u);
+  st.history.front() = st.x;  // the window's newest entry is the iterate
+  for (std::size_t i = 0; i < st.history[1].size(); ++i) st.history[1][i] = subnormals[(i + 2) % 4];
 
   const std::string json = ck.to_json();
   const serving::JobCheckpoint back = serving::checkpoint_from_json(json);
   EXPECT_EQ(back.to_json(), json);
-  expect_bytes_equal(back.x, ck.x);
-  expect_bytes_equal(back.history[1], ck.history[1]);
+  expect_bytes_equal(back.state.x, st.x);
+  expect_bytes_equal(back.state.history[1], st.history[1]);
 }
 
 TEST(Checkpoint, ParserRejectsHostileDocuments) {
@@ -232,7 +235,7 @@ TEST(Checkpoint, ParserRejectsHostileDocuments) {
   EXPECT_THROW(serving::checkpoint_from_json(json.substr(0, json.size() - 2)),
                PreconditionError);
   // Round index beyond the scenario's schedule.
-  const std::string marker = "\"next_round\":" + std::to_string(ck.next_round);
+  const std::string marker = "\"next_round\":" + std::to_string(ck.state.next_round);
   const auto at = json.find(marker);
   ASSERT_NE(at, std::string::npos);
   const std::string beyond = json.substr(0, at) + "\"next_round\":" +
@@ -242,6 +245,29 @@ TEST(Checkpoint, ParserRejectsHostileDocuments) {
   // Empty document / non-object.
   EXPECT_THROW(serving::checkpoint_from_json(""), PreconditionError);
   EXPECT_THROW(serving::checkpoint_from_json("[1,2]"), PreconditionError);
+
+  // Pending replies the round kernel can never leave in flight.  Each
+  // forged document has a control twin one step inside the bound that
+  // parses, so the rejection is the forged field and nothing else.
+  const std::size_t t = ck.state.next_round;
+  const std::size_t max_delay = spec.scenario.channel.max_delay;
+  const auto with_pending = [&ck](std::size_t emitted, std::size_t deliver_at) {
+    serving::JobCheckpoint forged = ck;
+    std::vector<chaos::PendingReply>& pending = forged.state.pending;
+    const auto at = std::upper_bound(
+        pending.begin(), pending.end(), deliver_at,
+        [](std::size_t due, const chaos::PendingReply& r) { return due < r.deliver_at; });
+    pending.insert(at, chaos::PendingReply{0, emitted, deliver_at, forged.state.x});
+    return forged.to_json();
+  };
+  // A future `emitted` would displace a genuine delayed reply in the
+  // freshest-reply dedup.
+  EXPECT_NO_THROW(serving::checkpoint_from_json(with_pending(t - 1, t + 1)));
+  EXPECT_THROW(serving::checkpoint_from_json(with_pending(t, t + 1)), PreconditionError);
+  // A delay longer than the channel's max_delay.
+  EXPECT_NO_THROW(serving::checkpoint_from_json(with_pending(t - 1, t - 1 + max_delay)));
+  EXPECT_THROW(serving::checkpoint_from_json(with_pending(t - 1, t + max_delay)),
+               PreconditionError);
 }
 
 TEST(Runner, SliceSizeAndReloadBoundariesDoNotChangeTheTrajectory) {
@@ -258,11 +284,11 @@ TEST(Runner, SliceSizeAndReloadBoundariesDoNotChangeTheTrajectory) {
   EXPECT_EQ(by_one.to_json(), whole.to_json());
   EXPECT_EQ(by_seven.to_json(), whole.to_json());
   // The run exercised what it claims: faults and channel noise fired.
-  EXPECT_GT(whole.counters.byzantine_replies, 0u);
-  EXPECT_GT(whole.counters.crashed_absences, 0u);
-  EXPECT_GT(whole.counters.stale_replies, 0u);
-  EXPECT_GT(whole.counters.dropped_replies + whole.counters.delayed_replies +
-                whole.counters.duplicated_replies,
+  const chaos::RoundCounters& counters = whole.state.counters;
+  EXPECT_GT(counters.byzantine_replies, 0u);
+  EXPECT_GT(counters.crashed_absences, 0u);
+  EXPECT_GT(counters.stale_replies, 0u);
+  EXPECT_GT(counters.dropped_replies + counters.delayed_replies + counters.duplicated_replies,
             0u);
 }
 
@@ -274,11 +300,11 @@ TEST(Runner, FaultFreeTrajectoryMatchesTheChaosExecutorBitForBit) {
   const chaos::MaterializedScenario built = chaos::materialize_scenario(scenario);
   const serving::JobCheckpoint ck = run_sliced(spec, built, 5, true);
 
-  expect_bytes_equal(ck.x, oracle.estimate);
-  const double a = ck.initial_distance;
+  expect_bytes_equal(ck.state.x, oracle.estimate);
+  const double a = ck.state.initial_distance;
   const double b = oracle.initial_distance;
   EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
-  const double ma = ck.max_distance;
+  const double ma = ck.state.max_distance;
   const double mb = oracle.max_distance;
   EXPECT_EQ(std::memcmp(&ma, &mb, sizeof(double)), 0);
 }
@@ -513,7 +539,7 @@ TEST(Daemon, KillAndResumeProducesByteIdenticalManifests) {
     EXPECT_EQ(revived.recover(), 1u);
     // recover() must resume mid-job, not restart: the adopted
     // checkpoint carries the progress already made.
-    ASSERT_GT(revived.scheduler().checkpoint("revive")->next_round, 0u);
+    ASSERT_GT(revived.scheduler().checkpoint("revive")->state.next_round, 0u);
     while (!revived.scheduler().idle()) revived.poll_once();
   }
   std::ifstream in(root + "/cr/revive.manifest.json", std::ios::binary);

@@ -1,9 +1,9 @@
-// Tests for src/transport/: topology shapes, the wire codec, pure
-// channel-fault streams, and — the subsystem's load-bearing contract —
-// the cross-backend oracle: a pinned suite of seeded scenarios (faulty
-// ones included) must produce byte-identical estimate traces on the
-// in-process backend and the multi-process socket backend, over every
-// reduction topology, with matching deterministic telemetry.
+// Tests for src/transport/: topology shapes, the wire codec, and — the
+// subsystem's load-bearing contract — the cross-backend oracle: a pinned
+// suite of seeded scenarios (faulty ones included) must produce
+// byte-identical estimate traces on the in-process backend and the
+// multi-process socket backend, over every reduction topology, with
+// matching deterministic telemetry.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,8 +23,6 @@
 #include "filters/registry.h"
 #include "net/server_protocol.h"
 #include "telemetry/metrics.h"
-#include "transport/agent_replica.h"
-#include "transport/channel.h"
 #include "transport/inproc_transport.h"
 #include "transport/session.h"
 #include "transport/socket_transport.h"
@@ -409,82 +407,6 @@ TEST(FrameCodec, WireBytesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Channel-fault streams
-// ---------------------------------------------------------------------------
-
-TEST(TransportChannel, ZeroedFaultsAreIdentity) {
-  const chaos::ChannelFaults none;
-  for (std::size_t agent = 0; agent < 4; ++agent) {
-    const auto decision = transport::channel_decision(none, 7, agent, agent * 3);
-    EXPECT_FALSE(decision.drop);
-    EXPECT_FALSE(decision.duplicate);
-    EXPECT_EQ(decision.delay, 0u);
-  }
-}
-
-TEST(TransportChannel, DecisionsArePureInSeedAgentRound) {
-  chaos::ChannelFaults faults;
-  faults.drop_probability = 0.3;
-  faults.duplicate_probability = 0.3;
-  faults.max_delay = 3;
-  // Same key, same decision — regardless of evaluation order or count.
-  for (std::size_t agent = 0; agent < 6; ++agent) {
-    for (std::size_t round = 0; round < 10; ++round) {
-      const auto a = transport::channel_decision(faults, 42, agent, round);
-      const auto b = transport::channel_decision(faults, 42, agent, round);
-      EXPECT_EQ(a.drop, b.drop);
-      EXPECT_EQ(a.duplicate, b.duplicate);
-      EXPECT_EQ(a.delay, b.delay);
-    }
-  }
-  // Different seeds decouple the streams.
-  bool any_difference = false;
-  for (std::size_t round = 0; round < 40 && !any_difference; ++round) {
-    const auto a = transport::channel_decision(faults, 1, 0, round);
-    const auto b = transport::channel_decision(faults, 2, 0, round);
-    any_difference = a.drop != b.drop || a.duplicate != b.duplicate || a.delay != b.delay;
-  }
-  EXPECT_TRUE(any_difference);
-}
-
-TEST(TransportChannel, DropShortCircuitsDuplicateAndDelay) {
-  chaos::ChannelFaults faults;
-  faults.drop_probability = 1.0;
-  faults.duplicate_probability = 1.0;
-  faults.max_delay = 3;
-  for (std::size_t round = 0; round < 10; ++round) {
-    const auto decision = transport::channel_decision(faults, 9, 0, round);
-    EXPECT_TRUE(decision.drop);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AgentReplica round fates (the coordinator-side accounting oracle)
-// ---------------------------------------------------------------------------
-
-TEST(AgentReplicaFate, MirrorsTheFaultSchedule) {
-  chaos::Scenario s = base_scenario("fate", 23);
-  s.n = 6;
-  s.faults = {byzantine(0, 2, 5), crash(1, 1, 4), straggler(2, 2)};
-
-  EXPECT_FALSE(transport::AgentReplica::fate(s, 0, 1).byzantine);
-  EXPECT_TRUE(transport::AgentReplica::fate(s, 0, 2).byzantine);
-  EXPECT_FALSE(transport::AgentReplica::fate(s, 0, 5).byzantine);
-
-  EXPECT_TRUE(transport::AgentReplica::fate(s, 1, 0).emits);
-  EXPECT_FALSE(transport::AgentReplica::fate(s, 1, 3).emits);
-  EXPECT_TRUE(transport::AgentReplica::fate(s, 1, 4).emits);
-
-  // A straggler is only *stale* once an older estimate exists (round 1+).
-  EXPECT_FALSE(transport::AgentReplica::fate(s, 2, 0).stale);
-  EXPECT_TRUE(transport::AgentReplica::fate(s, 2, 1).stale);
-  // Healthy agent, no channel faults: plain emission.
-  const auto healthy = transport::AgentReplica::fate(s, 4, 3);
-  EXPECT_TRUE(healthy.emits);
-  EXPECT_FALSE(healthy.byzantine || healthy.stale || healthy.dropped || healthy.duplicated);
-}
-
-// ---------------------------------------------------------------------------
 // The cross-backend oracle
 // ---------------------------------------------------------------------------
 
@@ -624,11 +546,12 @@ TEST(CrossBackend, ExchangeDeliversIdenticalFramesOnEveryTopology) {
 }
 
 TEST(ScenarioSession, MatchesTheChaosExecutorWithoutChannelFaults) {
-  // Channel-fault randomness uses per-reply streams in the transport (the
-  // executor draws sequentially), but everything else — instance, x0,
-  // attack streams, staleness, aggregation — is shared.  So channel-free
-  // scenarios must reproduce the executor's trajectory bit for bit,
-  // anchoring the transport to the original oracle.
+  // The transport and the executor share one round kernel's fault
+  // schedule — instance, x0, attack streams, staleness, aggregation — so
+  // channel-free scenarios must reproduce the executor's trajectory bit
+  // for bit, anchoring the transport to the original oracle.  (Lossy
+  // channels are covered across every driver by AllDrivers in
+  // test_chaos.)
   std::vector<chaos::Scenario> channel_free;
   channel_free.push_back(base_scenario("exec-clean", 41));
   chaos::Scenario s = base_scenario("exec-byz", 42);
