@@ -3,8 +3,9 @@
 // Microbenchmarks for the src/linalg kernels every hot path funnels
 // through: the reductions (dot, norm_squared, distance_squared), the
 // element-wise updates (axpy), the matrix products (matvec,
-// matvec_transposed, gemm_add), and the batched least-squares gradient
-// path built on them.  Dimensions d in {2, 64, 1024} cover the paper's
+// matvec_transposed, gemm_add), the batched least-squares gradient path
+// built on them, and the pivoted Householder QR that solves a job's honest
+// minimum at admission.  Dimensions d in {2, 64, 1024} cover the paper's
 // small exact-algorithm problems, the DGD experiment family, and the
 // vectorization-bound regime.  Compare a default build against
 // -DREDOPT_FAST_KERNELS=ON to see what the reordered reductions buy
@@ -17,6 +18,8 @@
 
 #include "core/batch_gradient.h"
 #include "core/least_squares_cost.h"
+#include "data/regression.h"
+#include "linalg/decompose.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "perf_common.h"
@@ -150,6 +153,31 @@ void bm_batch_gradient(benchmark::State& state) {
                           static_cast<std::int64_t>(n * rows * d));
 }
 
+// Pivoted QR plus the least-squares solve of a stacked (14 d) x d honest
+// system: fourteen d x d orthonormal blocks, what materialize_scenario
+// solves for a block_regression job with two of its 16 agents faulty.
+void bm_qr(benchmark::State& state) {
+  const auto d = static_cast<std::size_t>(state.range(0));
+  const std::size_t blocks = 14;
+  rng::Rng rng(16);
+  const auto inst =
+      data::make_orthonormal_regression(16, d, 1, 0.1, Vector(make_values(d, 17)), rng);
+  linalg::Matrix stacked(blocks * d, d);
+  Vector b(blocks * d);
+  for (std::size_t id = 0; id < blocks; ++id) {
+    for (std::size_t r = 0; r < d; ++r) {
+      for (std::size_t c = 0; c < d; ++c) stacked(id * d + r, c) = inst.blocks[id](r, c);
+      b[id * d + r] = inst.observations[id][r];
+    }
+  }
+  for (auto _ : state) {
+    const Vector x = linalg::QrDecomposition(stacked).solve_least_squares(b);
+    benchmark::DoNotOptimize(x.data().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blocks * d * d));
+}
+
 void register_all() {
   struct Named {
     const char* name;
@@ -165,6 +193,9 @@ void register_all() {
                          Named{"kernel/batch_gradient", bm_batch_gradient}}) {
     benchmark::RegisterBenchmark(b.name, b.fn)->Arg(2)->Arg(64)->Arg(1024);
   }
+  // An 896 x 64 system is already the admission-sized case; 14336 x 1024
+  // would take seconds per iteration.
+  benchmark::RegisterBenchmark("kernel/qr", bm_qr)->Arg(2)->Arg(64);
 }
 
 const bool registered = (register_all(), true);

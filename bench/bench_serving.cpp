@@ -1,13 +1,18 @@
 // R-S1 — serving throughput and time-to-result under multi-client load
 // (google-benchmark).
 //
-// Two questions, one binary:
+// Three questions, one binary:
 //
 //   * jobs/sec through the scheduler — the in-process core: admission,
 //     cross-job gradient stacking, round-robin slices, checkpoint
 //     serialization after every slice (the daemon's persistence cost
 //     without the filesystem).  The jobs_per_second counter is the R-S1
 //     headline number.
+//
+//   * what one admission costs — serving/admit submits an n = 16, d = 64
+//     block_regression job (materialization with its honest-minimum QR,
+//     the initial checkpoint, the restack) into a table already holding
+//     five live jobs of that shape.
 //
 //   * time-to-result over the wire — a live daemon on a Unix-domain
 //     socket, client threads submitting a batch of jobs and polling to
@@ -78,6 +83,62 @@ serving::JobSpec bench_job(const std::string& id, std::uint64_t seed) {
   spec.job_id = id;
   spec.scenario = s;
   return spec;
+}
+
+/// A serve_wide-shaped job: block regression n = 16, f = 3, d = 64 under
+/// CWTM with a gradient_reverse Byzantine agent.
+serving::JobSpec wide_job(const std::string& id, std::uint64_t seed, std::size_t rounds) {
+  chaos::Scenario s;
+  s.name = "bench-admit";
+  s.seed = kBenchSeed + seed;
+  s.problem = "block_regression";
+  s.filter = "cwtm";
+  s.n = 16;
+  s.f = 3;
+  s.d = 64;
+  s.rounds = rounds;
+  chaos::FaultSpec byz;
+  byz.kind = chaos::FaultSpec::Kind::kByzantine;
+  byz.agent = 2;
+  byz.attack = "gradient_reverse";
+  byz.attack_param = 1.0;
+  s.faults = {byz};
+
+  serving::JobSpec spec;
+  spec.job_id = id;
+  spec.scenario = s;
+  return spec;
+}
+
+/// Scheduler::submit of one job into a table of five live jobs.  Only the
+/// submit is timed; the admitted job (one slice long) is then run to done
+/// and released untimed, so every iteration admits into the same table.
+void scheduler_admit(benchmark::State& state) {
+  serving::SchedulerOptions options;
+  options.max_jobs = 6;
+  options.slice_rounds = 16;
+  serving::Scheduler scheduler(options);
+  for (std::size_t k = 0; k < 5; ++k) {
+    // Long enough never to finish while the benchmark runs.
+    const std::string live = "live-" + std::to_string(k);
+    const std::string reason = scheduler.submit(wide_job(live, k, options.max_rounds_per_job));
+    if (!reason.empty()) state.SkipWithError(reason.c_str());
+  }
+  std::size_t admitted = 0;
+  for (auto _ : state) {
+    const std::string id = "admit-" + std::to_string(admitted);
+    const std::string reason = scheduler.submit(wide_job(id, 5 + admitted % 16, 16));
+    if (!reason.empty()) {
+      state.SkipWithError(reason.c_str());
+      break;
+    }
+    state.PauseTiming();
+    while (scheduler.status(id)->state != serving::JobState::kDone) scheduler.step(nullptr);
+    scheduler.release(id);
+    ++admitted;
+    state.ResumeTiming();
+  }
+  state.counters["live_jobs"] = 5.0;
 }
 
 /// Scheduler-only throughput: K concurrent jobs through admission,
@@ -189,6 +250,7 @@ BENCHMARK(scheduler_jobs_per_second)
     ->Arg(1)
     ->Arg(4)
     ->Arg(8);
+BENCHMARK(scheduler_admit)->Name("serving/admit")->Unit(benchmark::kMillisecond);
 BENCHMARK(daemon_time_to_result)
     ->Name("serving/daemon/ttr")
     ->Arg(1)

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "linalg/decompose.h"
+#include "linalg/kernels.h"
 #include "util/error.h"
 #include "util/subsets.h"
 
@@ -88,20 +89,23 @@ BlockRegressionInstance make_orthonormal_regression(std::size_t n, std::size_t d
   inst.x_star = x_star;
   inst.problem.f = f;
   for (std::size_t i = 0; i < n; ++i) {
-    // Random orthogonal block via Gram-Schmidt on Gaussian rows.
+    // Random orthogonal block via Gram-Schmidt on Gaussian rows, drawn and
+    // orthogonalized in place in the block's own row storage.  axpy with
+    // -s adds the exact negation of s * prev, so each entry gets the same
+    // bits as subtracting s * prev would give.
     Matrix a(d, d);
     for (std::size_t r = 0; r < d; ++r) {
-      Vector row;
+      double* row = &a(r, 0);
       double norm = 0.0;
       do {
-        row = Vector(rng.gaussian_vector(d));
+        for (std::size_t c = 0; c < d; ++c) row[c] = rng.gaussian();
         for (std::size_t p = 0; p < r; ++p) {
-          const Vector prev = a.row(p);
-          row -= prev * linalg::dot(row, prev);
+          const double* prev = a.row_data(p);
+          linalg::kernels::axpy(row, -linalg::kernels::dot(row, prev, d), prev, d);
         }
-        norm = row.norm();
+        norm = std::sqrt(linalg::kernels::norm_squared(row, d));
       } while (norm < 1e-8);  // re-draw on (measure-zero) degeneracy
-      a.set_row(r, row / norm);
+      for (std::size_t c = 0; c < d; ++c) row[c] /= norm;
     }
     Vector b = linalg::matvec(a, x_star);
     for (auto& c : b) c += rng.gaussian(0.0, noise_sigma);

@@ -48,15 +48,101 @@ std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
   return x;
 }
 
+namespace {
+
+// Applies the Householder reflector I - beta v v^T held in column k of
+// @p qr (v_k = 1, v_i = qr(i, k) for i > k) to columns j..j+7:
+//   s_c = beta (qr(k, c) + sum_{i>k} v_i qr(i, c)),   qr(i, c) -= s_c v_i.
+// The eight sums stay in registers while the rows go by in ascending
+// order (the kernels::matvec_transposed pattern), so every s_c and every
+// updated entry is bit-identical to a loop down one column at a time.
+void reflect_eight_columns(Matrix& qr, std::size_t k, std::size_t j, double beta) {
+  const std::size_t m = qr.rows();
+  double* row_k = &qr(k, j);
+  double s0 = row_k[0], s1 = row_k[1], s2 = row_k[2], s3 = row_k[3];
+  double s4 = row_k[4], s5 = row_k[5], s6 = row_k[6], s7 = row_k[7];
+  for (std::size_t i = k + 1; i < m; ++i) {
+    const double v = qr(i, k);
+    const double* r = &qr(i, j);
+    s0 += v * r[0];
+    s1 += v * r[1];
+    s2 += v * r[2];
+    s3 += v * r[3];
+    s4 += v * r[4];
+    s5 += v * r[5];
+    s6 += v * r[6];
+    s7 += v * r[7];
+  }
+  s0 *= beta;
+  s1 *= beta;
+  s2 *= beta;
+  s3 *= beta;
+  s4 *= beta;
+  s5 *= beta;
+  s6 *= beta;
+  s7 *= beta;
+  row_k[0] -= s0;
+  row_k[1] -= s1;
+  row_k[2] -= s2;
+  row_k[3] -= s3;
+  row_k[4] -= s4;
+  row_k[5] -= s5;
+  row_k[6] -= s6;
+  row_k[7] -= s7;
+  for (std::size_t i = k + 1; i < m; ++i) {
+    const double v = qr(i, k);
+    double* r = &qr(i, j);
+    r[0] -= s0 * v;
+    r[1] -= s1 * v;
+    r[2] -= s2 * v;
+    r[3] -= s3 * v;
+    r[4] -= s4 * v;
+    r[5] -= s5 * v;
+    r[6] -= s6 * v;
+    r[7] -= s7 * v;
+  }
+}
+
+// The same for columns j..n-1 (fewer than eight), one sum per column in
+// s[0, n - j), each in ascending row order.
+void reflect_columns(Matrix& qr, std::size_t k, std::size_t j, double beta, double* s) {
+  const std::size_t m = qr.rows();
+  const std::size_t width = qr.cols() - j;
+  double* row_k = &qr(k, j);
+  for (std::size_t c = 0; c < width; ++c) s[c] = row_k[c];
+  for (std::size_t i = k + 1; i < m; ++i) {
+    const double v = qr(i, k);
+    const double* r = &qr(i, j);
+    for (std::size_t c = 0; c < width; ++c) s[c] += v * r[c];
+  }
+  for (std::size_t c = 0; c < width; ++c) {
+    s[c] *= beta;
+    row_k[c] -= s[c];
+  }
+  for (std::size_t i = k + 1; i < m; ++i) {
+    const double v = qr(i, k);
+    double* r = &qr(i, j);
+    for (std::size_t c = 0; c < width; ++c) r[c] -= s[c] * v;
+  }
+}
+
+}  // namespace
+
 QrDecomposition::QrDecomposition(const Matrix& a, bool pivot)
     : m_(a.rows()), n_(a.cols()), qr_(a), beta_(std::min(a.rows(), a.cols()), 0.0), perm_(a.cols()) {
   REDOPT_REQUIRE(m_ > 0 && n_ > 0, "QR of an empty matrix");
   for (std::size_t j = 0; j < n_; ++j) perm_[j] = j;
 
-  // Squared norms of the trailing part of each column, for pivot selection.
-  std::vector<double> colnorm(n_, 0.0);
-  for (std::size_t j = 0; j < n_; ++j)
-    for (std::size_t i = 0; i < m_; ++i) colnorm[j] += qr_(i, j) * qr_(i, j);
+  // colnorm[0, n) holds the squared norms of the trailing part of each
+  // column, for pivot selection; colnorm[n, 2n) holds reflect_columns'
+  // sums.  qr_ is row-major, so the norms are summed row by row, one sum
+  // per column in ascending row order, as a loop down each column would.
+  std::vector<double> colnorm(2 * n_, 0.0);
+  double* const dots = colnorm.data() + n_;
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double* row = qr_.row_data(i);
+    for (std::size_t j = 0; j < n_; ++j) colnorm[j] += row[j] * row[j];
+  }
 
   const std::size_t steps = std::min(m_, n_);
   for (std::size_t k = 0; k < steps; ++k) {
@@ -86,16 +172,15 @@ QrDecomposition::QrDecomposition(const Matrix& a, bool pivot)
     for (std::size_t i = k + 1; i < m_; ++i) qr_(i, k) /= v0;
     beta_[k] = -v0 / alpha;  // = 2 / (v^T v) with the v[0] = 1 scaling
 
-    // Apply the reflector to the trailing columns.
-    for (std::size_t j = k + 1; j < n_; ++j) {
-      double s = qr_(k, j);
-      for (std::size_t i = k + 1; i < m_; ++i) s += qr_(i, k) * qr_(i, j);
-      s *= beta_[k];
-      qr_(k, j) -= s;
-      for (std::size_t i = k + 1; i < m_; ++i) qr_(i, j) -= s * qr_(i, k);
-      // Downdate the trailing column norm for pivoting.
-      colnorm[j] -= qr_(k, j) * qr_(k, j);
-      if (colnorm[j] < 0.0) colnorm[j] = 0.0;
+    // Apply the reflector to the trailing columns: eight at a time with
+    // the sums in registers, then the leftover ones with theirs in `dots`.
+    std::size_t j = k + 1;
+    for (; j + 8 <= n_; j += 8) reflect_eight_columns(qr_, k, j, beta_[k]);
+    if (j < n_) reflect_columns(qr_, k, j, beta_[k], dots + j);
+    // Downdate the trailing column norms for pivoting.
+    for (std::size_t c = k + 1; c < n_; ++c) {
+      colnorm[c] -= qr_(k, c) * qr_(k, c);
+      if (colnorm[c] < 0.0) colnorm[c] = 0.0;
     }
     colnorm[k] = 0.0;
   }

@@ -1,7 +1,12 @@
 // Tests for the synthetic data generators.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/problem.h"
 #include "data/classification.h"
@@ -122,6 +127,82 @@ TEST(RegressionData, BlockArgminRecoversTruthNoiseless) {
   const auto inst = data::make_orthonormal_regression(7, 2, 2, 0.0, x_star, rng);
   const Vector x_h = data::block_regression_argmin(inst, {0, 2, 3, 5, 6});
   EXPECT_NEAR(linalg::distance(x_h, x_star), 0.0, 1e-10);
+}
+
+// ------------------------------------ Gram-Schmidt bit-identity contract
+//
+// make_orthonormal_regression may be restructured for speed only in ways
+// that keep every output bit and the RNG stream position.  The reference is
+// the original allocating Gram-Schmidt, copied verbatim.
+
+namespace {
+
+struct ReferenceBlocks {
+  std::vector<Matrix> blocks;
+  std::vector<Vector> observations;
+};
+
+ReferenceBlocks reference_orthonormal_regression(std::size_t n, std::size_t d, double noise_sigma,
+                                                 const Vector& x_star, rng::Rng& rng) {
+  ReferenceBlocks out;
+  for (std::size_t i = 0; i < n; ++i) {
+    Matrix a(d, d);
+    for (std::size_t r = 0; r < d; ++r) {
+      Vector row;
+      double norm = 0.0;
+      do {
+        row = Vector(rng.gaussian_vector(d));
+        for (std::size_t p = 0; p < r; ++p) {
+          const Vector prev = a.row(p);
+          row -= prev * linalg::dot(row, prev);
+        }
+        norm = row.norm();
+      } while (norm < 1e-8);
+      a.set_row(r, row / norm);
+    }
+    Vector b = linalg::matvec(a, x_star);
+    for (auto& c : b) c += rng.gaussian(0.0, noise_sigma);
+    out.blocks.push_back(std::move(a));
+    out.observations.push_back(std::move(b));
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(RegressionData, OrthonormalRegressionIsBitIdenticalToTheAllocatingGramSchmidt) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {{1, 1}, {3, 2}, {5, 7}, {16, 64}};
+  for (const auto& [n, d] : shapes) {
+    SCOPED_TRACE("n = " + std::to_string(n) + ", d = " + std::to_string(d));
+    rng::Rng draw(1000 + 10 * n + d);
+    Vector x_star(d);
+    for (auto& v : x_star) v = draw.uniform(-3.0, 3.0);
+    rng::Rng library_rng = draw.fork("problem");
+    rng::Rng reference_rng = library_rng;
+    const auto inst =
+        data::make_orthonormal_regression(n, d, (n - 1) / 2, 0.25, x_star, library_rng);
+    const ReferenceBlocks ref = reference_orthonormal_regression(n, d, 0.25, x_star, reference_rng);
+    ASSERT_EQ(inst.blocks.size(), n);
+    ASSERT_EQ(inst.observations.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(inst.blocks[i].data(), ref.blocks[i].data())) << "block " << i;
+      EXPECT_TRUE(same_bits(inst.observations[i].data(), ref.observations[i].data()))
+          << "observation " << i;
+    }
+    // Both generators must stand at the same stream position, cached
+    // Box-Muller half included.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(library_rng.gaussian()),
+              std::bit_cast<std::uint64_t>(reference_rng.gaussian()));
+    EXPECT_EQ(library_rng.next_u64(), reference_rng.next_u64());
+  }
 }
 
 // ---------------------------------------------------------------- Classification
