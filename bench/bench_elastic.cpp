@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "chaos/scenario.h"
-#include "elastic/membership.h"
+#include "elastic/churn.h"
 #include "elastic/serving.h"
 #include "elastic/session.h"
 #include "perf_common.h"

@@ -7,9 +7,9 @@
 // built on them, and the pivoted Householder QR that solves a job's honest
 // minimum at admission.  Dimensions d in {2, 64, 1024} cover the paper's
 // small exact-algorithm problems, the DGD experiment family, and the
-// vectorization-bound regime.  Compare a default build against
-// -DREDOPT_FAST_KERNELS=ON to see what the reordered reductions buy
-// (docs/PERFORMANCE.md, "Determinism vs. speed").
+// vectorization-bound regime.  The reductions keep one accumulator in
+// ascending order (docs/PERFORMANCE.md, "Determinism vs. speed"), so
+// they bound what pinned evaluation order costs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -35,7 +35,7 @@ struct MaterializedScenario {
   linalg::Vector reference;
   /// "streaming_regression" only: mutable typed handles to the per-agent
   /// incremental costs (aliasing problem.costs).  The originals stay at
-  /// their initial one-cycle state; elastic replicas copy them (carrying
+  /// their initial one-cycle state; agent replicas copy them (carrying
   /// the stream rng) and absorb privately, so sharing stays safe.
   std::vector<std::shared_ptr<data::StreamingLeastSquaresCost>> streams;
 };

@@ -1,7 +1,6 @@
 #include "chaos/round.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 #include <limits>
 
@@ -10,17 +9,6 @@
 #include "util/error.h"
 
 namespace redopt::chaos {
-
-namespace {
-
-bool all_finite(const linalg::Vector& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 ChannelDecision channel_decision(const ChannelFaults& faults, std::uint64_t seed,
                                  std::size_t agent, std::size_t round) {
@@ -300,7 +288,7 @@ void RoundKernel::step(RoundState& state) {
   while (state.history.size() > max_staleness_ + 1) state.history.pop_back();
 
   state.next_round = t + 1;
-  if (!all_finite(x)) {
+  if (!x.is_finite()) {
     state.nonfinite = true;
     state.nonfinite_round = t;
     return;

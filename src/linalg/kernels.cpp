@@ -4,83 +4,7 @@
 
 namespace redopt::linalg::kernels {
 
-bool fast_mode() {
-#ifdef REDOPT_FAST_KERNELS
-  return true;
-#else
-  return false;
-#endif
-}
-
-#ifdef REDOPT_FAST_KERNELS
-
-// Reordered reductions: 4 independent partial sums, folded pairwise at the
-// end.  Not bit-identical to the strict loops — gated behind the build
-// flag precisely because of that (see kernels.h).
-double dot(const double* a, const double* b, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) tail += a[i] * b[i];
-  return ((s0 + s1) + (s2 + s3)) + tail;
-}
-
-double norm_squared(const double* a, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * a[i];
-    s1 += a[i + 1] * a[i + 1];
-    s2 += a[i + 2] * a[i + 2];
-    s3 += a[i + 3] * a[i + 3];
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) tail += a[i] * a[i];
-  return ((s0 + s1) + (s2 + s3)) + tail;
-}
-
-double distance_squared(const double* a, const double* b, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = a[i] - b[i];
-    const double d1 = a[i + 1] - b[i + 1];
-    const double d2 = a[i + 2] - b[i + 2];
-    const double d3 = a[i + 3] - b[i + 3];
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    tail += d * d;
-  }
-  return ((s0 + s1) + (s2 + s3)) + tail;
-}
-
-double sum(const double* a, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i];
-    s1 += a[i + 1];
-    s2 += a[i + 2];
-    s3 += a[i + 3];
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) tail += a[i];
-  return ((s0 + s1) + (s2 + s3)) + tail;
-}
-
-#else  // strict mode (default): single accumulator, ascending index order
+// Reductions: a single accumulator in ascending index order.
 
 double dot(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
@@ -108,8 +32,6 @@ double sum(const double* a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc += a[i];
   return acc;
 }
-
-#endif  // REDOPT_FAST_KERNELS
 
 double dot_strided(const double* a, std::size_t stride_a, const double* b, std::size_t stride_b,
                    std::size_t n) {

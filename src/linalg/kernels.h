@@ -3,33 +3,22 @@
 // Every higher-level operation (dot, norms, axpy, matvec, gemm) funnels
 // through these raw-pointer loops so the hot paths have exactly one place
 // where floating-point evaluation order is decided.  The determinism
-// contract (docs/PERFORMANCE.md, "Determinism vs. speed"):
+// contract (docs/PERFORMANCE.md, "Determinism vs. speed"): every
+// reduction accumulates in ascending index order with a single
+// accumulator — bit-identical to the naive reference loops the library
+// used before the kernels existed, so golden traces and the
+// cross-thread-count manifests are unchanged.
 //
-//   * Default build: every reduction accumulates in ascending index order
-//     with a single accumulator — bit-identical to the naive reference
-//     loops the library used before the kernels existed, so golden traces
-//     and the cross-thread-count manifests are unchanged.
-//   * -DREDOPT_FAST_KERNELS=ON: dot / norm_squared / distance_squared /
-//     sum switch to 4-lane partial sums (vectorizable, ~2-4x on wide
-//     vectors).  This CHANGES the summation order, and therefore last-ulp
-//     results — golden traces must be regenerated
-//     (scripts/update_golden.sh) and the flag is never used for results
-//     that feed committed goldens.
-//
-// Element-wise kernels (axpy, add, sub, scale) have no reduction, so they
-// are bit-identical in both modes and free to vectorize.  The matrix
-// kernels (matvec, matvec_transposed, gemm_add) are strict in both
-// builds: they restructure loops only in ways that keep every output's
-// own accumulation order (row interleaving, output blocking).
+// Element-wise kernels (axpy, add, sub, scale) have no reduction, so
+// they are free to vectorize.  The matrix kernels (matvec,
+// matvec_transposed, gemm_add) restructure loops only in ways that keep
+// every output's own accumulation order (row interleaving, output
+// blocking).
 #pragma once
 
 #include <cstddef>
 
 namespace redopt::linalg::kernels {
-
-/// True when the library was compiled with -DREDOPT_FAST_KERNELS=ON
-/// (reordered multi-accumulator reductions).
-bool fast_mode();
 
 /// <a, b> over n entries.
 double dot(const double* a, const double* b, std::size_t n);
@@ -90,12 +79,10 @@ double dot_strided(const double* a, std::size_t stride_a, const double* b, std::
 /// Streamed reduction with pinned evaluation order, for accumulations
 /// whose terms arrive one call at a time (per-agent cost values, per-shell
 /// probe statistics) rather than as a contiguous array.  add() folds each
-/// term into a single accumulator in call order in BOTH build modes: a
-/// streaming sum cannot be reordered without buffering, so Sum is the one
-/// kernel whose result never depends on REDOPT_FAST_KERNELS.  Every
-/// floating-point accumulation loop outside this layer should either call
-/// sum()/dot() on a staged buffer or fold through a Sum — that is what
-/// keeps the FP-order authority in one place (redopt-analyze rule B1).
+/// term into a single accumulator in call order.  Every floating-point
+/// accumulation loop outside this layer should either call sum()/dot() on
+/// a staged buffer or fold through a Sum — that is what keeps the
+/// FP-order authority in one place (redopt-analyze rule B1).
 class Sum {
  public:
   /// Folds @p term into the running total (strict call order).

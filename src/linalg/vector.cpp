@@ -75,6 +75,10 @@ bool Vector::is_zero(double tol) const {
                      [tol](double x) { return std::abs(x) <= tol; });
 }
 
+bool Vector::is_finite() const {
+  return std::all_of(data_.begin(), data_.end(), [](double x) { return std::isfinite(x); });
+}
+
 std::string Vector::to_string(int digits) const {
   std::ostringstream os;
   os.precision(digits);

@@ -68,6 +68,9 @@ class Vector {
   /// All-zero vector predicate with absolute tolerance.
   bool is_zero(double tol = 0.0) const;
 
+  /// No NaN or infinite coordinate.
+  bool is_finite() const;
+
   /// Human-readable rendering "(a, b, c)" used by examples and benches.
   std::string to_string(int digits = 6) const;
 

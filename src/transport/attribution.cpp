@@ -57,10 +57,10 @@ void AttributionBuilder::on_exchange(const std::vector<util::Frame>& frames) {
   }
 }
 
-void AttributionBuilder::on_fate(std::size_t agent, const chaos::RoundFate& fate) {
+void AttributionBuilder::on_fate(std::size_t agent, std::size_t round,
+                                 const chaos::RoundFate& fate) {
   REDOPT_REQUIRE(agent < n_, "attribution: fate for unknown agent");
   AgentAttribution& row = agents_[agent];
-  const std::uint64_t round = row.rounds;  // fates arrive in round order
   ++row.rounds;
   if (!fate.emits) {
     ++row.crashed;

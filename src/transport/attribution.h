@@ -40,8 +40,8 @@ struct AgentAttribution {
   std::uint64_t bytes_up = 0;          ///< wire size x hops, summed over its frames
   std::uint64_t superseded = 0;        ///< arrivals replaced by a fresher reply
 
-  // Replayed from the fault schedule (pure fate() per round).
-  std::uint64_t rounds = 0;
+  // Replayed from the fault schedule (pure fate() per member round).
+  std::uint64_t rounds = 0;  ///< rounds the agent was a live member
   std::uint64_t byzantine = 0;
   std::uint64_t crashed = 0;
   std::uint64_t stale = 0;
@@ -100,16 +100,17 @@ struct AttributionReport {
 
 /// Accumulates coordinator-side observations round by round, then
 /// reconciles them in build().  Feed every exchange's canonical frame
-/// vector, every agent's replayed fate, and every superseded arrival —
-/// exactly what run_scenario_transport already computes.
+/// vector, every live agent's replayed fate, and every superseded arrival
+/// — exactly what the session loop (session.h) already computes.
 class AttributionBuilder {
  public:
   AttributionBuilder(Topology topology, std::size_t n, std::size_t estimate_dim);
 
   /// Books one exchange's delivered frames (post-canonicalization).
   void on_exchange(const std::vector<util::Frame>& frames);
-  /// Books agent @p agent's replayed fate for the current round.
-  void on_fate(std::size_t agent, const chaos::RoundFate& fate);
+  /// Books agent @p agent's replayed fate in round @p round (live
+  /// members only: a departed agent has no fate that round).
+  void on_fate(std::size_t agent, std::size_t round, const chaos::RoundFate& fate);
   /// Books one superseded arrival from @p agent.
   void on_superseded(std::uint32_t agent);
 

@@ -1,12 +1,11 @@
 #include "transport/session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 
+#include "chaos/membership.h"
 #include "chaos/round.h"
 #include "core/aggregate_cost.h"
 #include "dgd/projection.h"
@@ -24,21 +23,36 @@ namespace redopt::transport {
 
 namespace {
 
-bool all_finite(const linalg::Vector& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-/// Everything a scenario session's agents need, owned by shared_ptr so
-/// the AgentFn closure (copied into the transport, and into forked agent
-/// processes) keeps it alive wherever it runs.
-struct ScenarioWorld {
+/// Everything a session's agents need, owned by shared_ptr so the AgentFn
+/// closure (copied into the transport, and into forked agent processes)
+/// keeps it alive wherever it runs.
+struct SessionWorld {
   chaos::Scenario scenario;
   chaos::MaterializedScenario built;
   std::vector<AgentReplica> replicas;
 };
+
+/// The transport-free exchange: every replica in ascending agent order,
+/// its frames in the transport layer's canonical (agent, emitted) order.
+/// Deliberately sequential: a replica's island registry is sharded per
+/// observing thread, so a pool fan-out would scatter one replica's
+/// histogram observations across shards and the merged float sums would
+/// wobble in the last ulp.  The inproc transport runs its agents one
+/// after another as well.
+std::vector<util::Frame> fan_out(SessionWorld& world, std::size_t round,
+                                 const linalg::Vector& estimate) {
+  std::vector<util::Frame> frames;
+  for (AgentReplica& replica : world.replicas) {
+    for (util::Frame& frame : replica.on_round(round, estimate)) {
+      frames.push_back(std::move(frame));
+    }
+  }
+  std::stable_sort(frames.begin(), frames.end(), [](const util::Frame& a, const util::Frame& b) {
+    if (a.agent != b.agent) return a.agent < b.agent;
+    return a.emitted < b.emitted;
+  });
+  return frames;
+}
 
 }  // namespace
 
@@ -73,19 +87,18 @@ std::unique_ptr<Transport> make_transport(const SessionOptions& options, std::si
                                            std::move(telemetry_fn));
 }
 
-ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
-                                       const SessionOptions& options) {
-  scenario.validate();
-  REDOPT_REQUIRE(!scenario.elastic(),
-                 "scenario carries membership/stream events; run it through "
-                 "elastic::run_elastic_transport (chaos-replay routes there automatically)");
-
+void run_session(const chaos::Scenario& scenario, const SessionOptions* options,
+                 const SessionLoop& loop, ScenarioSession& session) {
   // Telemetry handles first: registration must happen in a serial
   // context.  The session books the same chaos.* fault counters the
   // in-process executor does — it is the same fault schedule, observed
-  // from the coordinator's side of the transport.
+  // from the coordinator's side.  Elastic scenarios (membership or stream
+  // events, the same test AgentReplica applies to its island counters)
+  // record the elastic.* span names and membership counters, the others
+  // the session.* names; unregistered handles are inert.
+  const bool elastic = scenario.elastic();
   auto& reg = telemetry::registry();
-  const auto metric_scenarios = reg.counter("chaos.scenarios");
+  const auto metric_sessions = reg.counter(elastic ? "elastic.sessions" : "chaos.scenarios");
   const auto metric_rounds = reg.counter("chaos.rounds");
   const auto metric_byzantine = reg.counter("chaos.byzantine_replies");
   const auto metric_crashed = reg.counter("chaos.crashed_absences");
@@ -93,21 +106,30 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
   const auto metric_dropped = reg.counter("chaos.dropped_replies");
   const auto metric_delayed = reg.counter("chaos.delayed_replies");
   const auto metric_duplicated = reg.counter("chaos.duplicated_replies");
+  telemetry::Counter metric_joins, metric_leaves, metric_member, metric_absent, metric_stream_rows,
+      metric_rederived, metric_below;
+  if (elastic) {
+    metric_joins = reg.counter("elastic.joins");
+    metric_leaves = reg.counter("elastic.leaves");
+    metric_member = reg.counter("elastic.member_agent_rounds");
+    metric_absent = reg.counter("elastic.absent_agent_rounds");
+    metric_stream_rows = reg.counter("elastic.stream_rows");
+    metric_rederived = reg.counter("elastic.f_rederivations");
+    metric_below = reg.counter("elastic.rounds_below_redundancy");
+  }
 
   const std::size_t n = scenario.n;
   const std::size_t d = scenario.d;
+  const chaos::MembershipSchedule membership(scenario);
 
-  auto world = std::make_shared<ScenarioWorld>();
+  auto world = std::make_shared<SessionWorld>();
   world->scenario = scenario;
   world->built = chaos::materialize_scenario(scenario);
   world->replicas.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    world->replicas.emplace_back(world->scenario, world->built.problem, i);
+    world->replicas.emplace_back(world->scenario, world->built, i);
   }
-  AgentFn agent_fn = [world](std::size_t agent, std::size_t round,
-                             const linalg::Vector& estimate) {
-    return world->replicas[agent].on_round(round, estimate);
-  };
+  const chaos::MaterializedScenario& built = world->built;
   // Telemetry shipping runs agent-side too: on the socket backend this
   // closure executes inside the forked agent process, serializing the
   // fork-local replica's island.
@@ -117,13 +139,24 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
   };
   // The transport must be built (and, for the socket backend, forked)
   // only after the world is fully constructed, so every agent process
-  // inherits identical replica state.
-  const std::unique_ptr<Transport> transport =
-      make_transport(options, n, std::move(agent_fn), std::move(telemetry_fn));
+  // inherits identical replica state — streaming clones included.
+  std::unique_ptr<Transport> transport;
+  if (options != nullptr) {
+    AgentFn agent_fn = [world](std::size_t agent, std::size_t round,
+                               const linalg::Vector& estimate) {
+      return world->replicas[agent].on_round(round, estimate);
+    };
+    transport = make_transport(*options, n, std::move(agent_fn), telemetry_fn);
+  }
 
-  // The round kernel's (n, f) fallback chain.
-  chaos::FilterCache filter_cache(scenario.filter);
+  // The round kernel's (n, f) fallback chain, searched from the round's
+  // derived budget f_t: churn that shrinks the live set below 2f + 1
+  // forces a defensible filter before any reply is even missing.
+  chaos::FilterCache filter_cache(scenario.filter, loop.filter_factory);
 
+  // Schedule and projection keyed to the nominal (n, f): the step sizes
+  // must not depend on the membership replay, or a counterfactual churn
+  // would perturb every round after it even when the live sets agree.
   const dgd::HarmonicSchedule schedule(
       chaos::scenario_schedule_coefficient(scenario.filter, n, scenario.f));
   const dgd::BoxProjection projection = dgd::BoxProjection::cube(d, 10.0);
@@ -133,35 +166,80 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
   for (auto& v : x) v = x0_rng.uniform(-5.0, 5.0);
   x = projection.project(x);
 
-  ScenarioSession session;
   chaos::ScenarioResult& result = session.result;
-  result.reference = world->built.reference;
-  result.initial_distance = linalg::distance(x, world->built.reference);
+  result.reference = built.reference;
+  result.initial_distance = linalg::distance(x, built.reference);
   result.max_distance = result.initial_distance;
   session.estimates.push_back(x);
 
   // Attribution observes exactly what this loop already computes: the
   // canonical frames of every exchange, the replayed fates, and the
   // superseded arrivals.
-  AttributionBuilder attribution(options.topology, n, d);
-  telemetry::ScopedSpan scenario_span("session.scenario");
+  AttributionBuilder attribution(options != nullptr ? options->topology : Topology::kStar, n, d);
+  telemetry::ScopedSpan scenario_span(elastic ? "elastic.scenario" : "session.scenario");
   scenario_span.attr("n", static_cast<std::uint64_t>(n))
       .attr("f", static_cast<std::uint64_t>(scenario.f))
       .attr("rounds", static_cast<std::uint64_t>(scenario.rounds));
+  if (elastic) {
+    scenario_span.attr("membership_events", static_cast<std::uint64_t>(scenario.membership.size()))
+        .attr("stream_events", static_cast<std::uint64_t>(scenario.stream.size()));
+  }
 
+  std::vector<util::Frame*> freshest(n);  ///< per agent, the round's freshest arrival
+  std::vector<linalg::Vector> received;
+  std::size_t stream_cursor = 0;
   for (std::size_t t = 0; t < scenario.rounds; ++t) {
-    telemetry::ScopedSpan round_span("session.round");
+    const std::size_t m_t = membership.count(t);
+    const std::size_t f_t = membership.derived_f(t);
+    telemetry::ScopedSpan round_span(elastic ? "elastic.round" : "session.round");
     round_span.attr("t", static_cast<std::uint64_t>(t));
-    const std::vector<util::Frame> frames = transport->exchange(t, x);
+    if (elastic) {
+      round_span.attr("members", static_cast<std::uint64_t>(m_t))
+          .attr("derived_f", static_cast<std::uint64_t>(f_t));
+    }
+    std::vector<util::Frame> frames =
+        transport != nullptr ? transport->exchange(t, x) : fan_out(*world, t, x);
     metric_rounds.inc();
     attribution.on_exchange(frames);
 
-    // Fault accounting: replay every agent's (pure) round fate instead
-    // of trusting counters from the other side of the wire — identical
-    // on both backends by construction.
+    // Membership bookkeeping, replayed from the pure schedule — the
+    // coordinator never trusts counters from the other side of the wire.
+    const std::size_t joins = membership.joins_at(t);
+    const std::size_t leaves = membership.leaves_at(t);
+    session.joins += joins;
+    session.leaves += leaves;
+    metric_joins.inc(joins);
+    metric_leaves.inc(leaves);
+    if (f_t < scenario.f) {
+      ++session.f_rederivations;
+      metric_rederived.inc();
+      telemetry::span_instant("elastic.f_rederived",
+                              {{"t", telemetry::Value(static_cast<std::uint64_t>(t))},
+                               {"derived_f", telemetry::Value(static_cast<std::uint64_t>(f_t))}});
+    }
+    if (!membership.redundant(t)) {
+      ++session.rounds_below_redundancy;
+      metric_below.inc();
+    }
+    while (stream_cursor < scenario.stream.size() && scenario.stream[stream_cursor].round <= t) {
+      session.stream_rows += scenario.stream[stream_cursor].rows;
+      metric_stream_rows.inc(scenario.stream[stream_cursor].rows);
+      ++stream_cursor;
+    }
+
+    // Fault accounting: replay every live agent's (pure) round fate —
+    // identical on every backend by construction.  Departed agents have
+    // no fate: their specs sleep until they rejoin.
     for (std::size_t i = 0; i < n; ++i) {
+      if (!membership.member(i, t)) {
+        ++session.absent_agent_rounds;
+        metric_absent.inc();
+        continue;
+      }
+      ++session.member_agent_rounds;
+      metric_member.inc();
       const chaos::RoundFate fate = chaos::round_fate(scenario, i, t);
-      attribution.on_fate(i, fate);
+      attribution.on_fate(i, t, fate);
       if (!fate.emits) {
         ++result.crashed_absences;
         metric_crashed.inc();
@@ -191,68 +269,91 @@ ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
     }
 
     // Receive: keep the freshest reply per agent (sequence-number dedup,
-    // same as the executor's inbox).
-    struct Reply {
-      std::uint64_t emitted = 0;
-      const util::Frame* frame = nullptr;
-    };
-    std::map<std::uint32_t, Reply> inbox;
-    for (const util::Frame& frame : frames) {
-      auto [it, inserted] = inbox.try_emplace(frame.agent, Reply{frame.emitted, &frame});
-      if (inserted) continue;
-      if (frame.emitted > it->second.emitted) it->second = Reply{frame.emitted, &frame};
+    // same as the round kernel's).  on_exchange checked every agent id.
+    std::fill(freshest.begin(), freshest.end(), nullptr);
+    for (util::Frame& frame : frames) {
+      util::Frame*& best = freshest[frame.agent];
+      if (best == nullptr) {
+        best = &frame;
+        continue;
+      }
+      if (frame.emitted > best->emitted) best = &frame;
       ++result.superseded_replies;
       attribution.on_superseded(frame.agent);
     }
 
     // Aggregate and step.
-    if (!inbox.empty()) {
-      std::vector<linalg::Vector> received;
-      received.reserve(inbox.size());
-      for (const auto& [agent, reply] : inbox) {
-        (void)agent;
-        received.push_back(linalg::Vector(reply.frame->payload));
-      }
+    received.clear();
+    for (util::Frame* frame : freshest) {
+      if (frame != nullptr) received.emplace_back(std::move(frame->payload));
+    }
+    if (!received.empty()) {
       std::size_t f_used = 0;
-      const filters::FilterPtr& filter = filter_cache.get(received.size(), scenario.f, &f_used);
-      if (received.size() != n || f_used != scenario.f) {
+      const filters::FilterPtr& filter = filter_cache.get(received.size(), f_t, &f_used);
+      if (received.size() != m_t || f_used != scenario.f) {
         ++result.filter_rebuilds;
-        telemetry::span_instant("session.filter_rebuild",
-                                {{"t", telemetry::Value(static_cast<std::uint64_t>(t))}});
+        if (elastic) {
+          telemetry::span_instant(
+              "elastic.filter_rebuild",
+              {{"t", telemetry::Value(static_cast<std::uint64_t>(t))},
+               {"replies", telemetry::Value(static_cast<std::uint64_t>(received.size()))},
+               {"f_used", telemetry::Value(static_cast<std::uint64_t>(f_used))}});
+        } else {
+          telemetry::span_instant("session.filter_rebuild",
+                                  {{"t", telemetry::Value(static_cast<std::uint64_t>(t))}});
+        }
       }
       const linalg::Vector direction = filter->apply(received);
       x = projection.project(x - direction * schedule.step(t));
     }
     session.estimates.push_back(x);
+    if (loop.after_round) loop.after_round(t, x);
 
-    if (!all_finite(x)) {
+    if (!x.is_finite()) {
       result.nonfinite = true;
       result.nonfinite_round = t;
       break;
     }
-    result.max_distance =
-        std::max(result.max_distance, linalg::distance(x, world->built.reference));
+    result.max_distance = std::max(result.max_distance, linalg::distance(x, built.reference));
   }
 
-  metric_scenarios.inc();
+  metric_sessions.inc();
   result.estimate = x;
-  result.final_distance = result.nonfinite
-                              ? std::numeric_limits<double>::infinity()
-                              : linalg::distance(x, world->built.reference);
+  result.final_distance = result.nonfinite ? std::numeric_limits<double>::infinity()
+                                           : linalg::distance(x, built.reference);
 
   // Ship every surviving agent's telemetry island back to the
   // coordinator (a dedicated kTelemetry sweep on the socket backend, a
-  // direct call on the inproc one — both through the same serialize →
-  // parse round trip) and reconcile the attribution ledger against it.
-  const std::vector<AgentBlob> blobs = transport->collect_telemetry();
+  // direct call in process — both through the same serialize → parse
+  // round trip) and reconcile the attribution ledger against it.
+  std::vector<AgentBlob> blobs;
+  if (transport != nullptr) {
+    blobs = transport->collect_telemetry();
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      blobs.push_back(AgentBlob{static_cast<std::uint32_t>(i), telemetry_fn(i)});
+    }
+  }
   {
     telemetry::ScopedSpan parse_span("telemetry.parse_islands");
     for (const AgentBlob& blob : blobs) {
       session.agents.push_back(telemetry::parse_agent_snapshot(blob.blob));
     }
   }
-  session.transport = transport->stats();
-  session.attribution = attribution.build(result, session.transport, session.agents);
+  if (transport != nullptr) {
+    session.transport = transport->stats();
+    session.attribution = attribution.build(result, session.transport, session.agents);
+  }
+}
+
+ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
+                                       const SessionOptions& options) {
+  scenario.validate();
+  REDOPT_REQUIRE(!scenario.elastic(),
+                 "scenario carries membership/stream events; run it through "
+                 "elastic::run_elastic_transport (chaos-replay routes there automatically)");
+  ScenarioSession session;
+  run_session(scenario, &options, SessionLoop{}, session);
   return session;
 }
 
@@ -292,7 +393,7 @@ std::string session_trace_json(const ScenarioSession& session) {
 namespace {
 
 /// Per-process state of the dgd agents (copied into forked children by
-/// the socket backend, like ScenarioWorld).
+/// the socket backend, like SessionWorld).
 struct DgdWorld {
   const core::MultiAgentProblem* problem = nullptr;
   const attacks::Attack* attack = nullptr;

@@ -1,24 +1,37 @@
 // Transport sessions: end-to-end executions of the paper's server-based
 // DGD over a Transport backend.
 //
-// Two entry points:
+// One coordinator round loop, run_session(), serves every scenario
+// session.  A round is the same whether the agent set is fixed or
+// churning: every live member's AgentReplica (agent_replica.h) emits its
+// reply under the pure per-(agent, round) chaos::round_fate(); the
+// coordinator replays the chaos::MembershipSchedule and the fates for
+// accounting and attribution, keeps the freshest reply per agent, filters
+// the replies through the chaos::FilterCache at (m_t, f_t) and takes the
+// projected harmonic step.  A fixed scenario is the one-epoch schedule
+// (m_t = n, f_t = f every round).  Three entry points step this loop:
 //
-//   run_scenario_transport — executes a chaos::Scenario round loop with
-//     the agents behind a Transport (in-process or multi-process socket
-//     backend, any reduction topology).  Mirrors chaos::run_scenario's
-//     aggregation semantics (freshest-reply dedup, the chaos::FilterCache
-//     (n, f) fallback, harmonic schedule, box projection) with the fault
-//     schedule evaluated inside AgentReplica from the pure per-(agent,
-//     round) chaos::round_fate(), so the two backends produce
-//     byte-identical estimate traces (the pinned cross-backend suite in
-//     tests/test_transport.cpp) and match the executor bit for bit
-//     (AllDrivers in tests/test_chaos.cpp).
+//   run_scenario_transport — fixed-membership scenarios behind a
+//     Transport (in-process or multi-process socket backend, any
+//     reduction topology).  Both backends produce byte-identical estimate
+//     traces (the pinned cross-backend suite in tests/test_transport.cpp)
+//     and match the in-process executor bit for bit (AllDrivers in
+//     tests/test_chaos.cpp).
 //
-//   run_dgd — the message-passing dgd trainer over a Transport, same
-//     contract as net::run_server_protocol (and hence bit-identical to
-//     dgd::train in the fault-free synchronous regime).
+//   elastic::run_elastic_transport — churn and streaming scenarios behind
+//     a Transport (elastic/session.h).
+//
+//   elastic::run_elastic — the same loop with a direct in-process fan-out
+//     instead of a Transport: the transport-free reference the
+//     cross-backend tests compare against.
+//
+// Separately, run_dgd is the message-passing dgd trainer over a
+// Transport, same contract as net::run_server_protocol (and hence
+// bit-identical to dgd::train in the fault-free synchronous regime).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,12 +74,24 @@ std::unique_ptr<Transport> make_transport(const SessionOptions& options, std::si
 struct ScenarioSession {
   chaos::ScenarioResult result;           ///< same observables as chaos::run_scenario
   std::vector<linalg::Vector> estimates;  ///< the full estimate trace x^0 .. x^T
-  TransportStats transport;               ///< traffic of the execution
+  TransportStats transport;               ///< traffic of the execution (zero without a transport)
+
+  // Membership observables, replayed coordinator-side from the
+  // membership schedule (a fixed scenario books n live agents per round
+  // and nothing else).
+  std::uint64_t joins = 0;                ///< membership flips into the live set
+  std::uint64_t leaves = 0;               ///< membership flips out of the live set
+  std::uint64_t member_agent_rounds = 0;  ///< agent-rounds spent live
+  std::uint64_t absent_agent_rounds = 0;  ///< agent-rounds spent departed
+  std::uint64_t stream_rows = 0;          ///< rows absorbed across all agents
+  std::uint64_t f_rederivations = 0;      ///< rounds run with derived f_t < f
+  std::uint64_t rounds_below_redundancy = 0;  ///< rounds without the 2f headroom
 
   /// Every live agent's shipped telemetry island, ascending by agent id
   /// (an agent whose socket link died is absent).
   std::vector<telemetry::AgentSnapshot> agents;
-  /// The reconciled fault-attribution report (attribution.h).
+  /// The reconciled fault-attribution report (attribution.h); empty
+  /// without a transport.
   AttributionReport attribution;
 };
 
@@ -80,6 +105,26 @@ std::string session_manifest_json(const ScenarioSession& session);
 /// span log as pid 0 plus one track per shipped agent as pid agent+1.
 std::string session_trace_json(const ScenarioSession& session);
 
+/// The entry points' hooks into the coordinator loop.
+struct SessionLoop {
+  /// Overrides gradient-filter construction (test hook, see
+  /// chaos::FilterCache).  Default: filters registry.
+  chaos::FilterFactory filter_factory;
+  /// Called after every round's step with the round and its estimate.
+  std::function<void(std::size_t round, const linalg::Vector& estimate)> after_round;
+};
+
+/// The coordinator round loop (see the header comment).  @p scenario must
+/// be validated.  With @p options the agents run behind the Transport it
+/// describes and @p session gets its traffic stats and the reconciled
+/// attribution report; with nullptr they run as a direct in-process
+/// fan-out in ascending agent order, with neither.  Elastic scenarios
+/// record elastic.scenario / elastic.round spans and the elastic.*
+/// membership counters, the others session.scenario / session.round.
+void run_session(const chaos::Scenario& scenario, const SessionOptions* options,
+                 const SessionLoop& loop, ScenarioSession& session);
+
+/// Fixed-membership scenarios only (elastic ones throw).
 ScenarioSession run_scenario_transport(const chaos::Scenario& scenario,
                                        const SessionOptions& options = {});
 

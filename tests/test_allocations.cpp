@@ -1,4 +1,5 @@
-// Heap-allocation counts of the admission path and the trainer round.
+// Heap-allocation counts of the admission path, the trainer round and
+// whole transport sessions.
 //
 // This binary replaces the global operator new / delete with a pair that
 // counts every allocation of the calling thread, for every case in it.
@@ -22,9 +23,12 @@
 #include "dgd/projection.h"
 #include "dgd/schedule.h"
 #include "dgd/trainer.h"
+#include "elastic/session.h"
 #include "filters/registry.h"
 #include "rng/rng.h"
 #include "runtime/runtime.h"
+#include "telemetry/events.h"
+#include "transport/session.h"
 
 namespace {
 
@@ -160,3 +164,74 @@ TEST(Allocations, OnlineTrainerStepWithCwtm) {
 TEST(Allocations, OnlineTrainerStepWithKrum) {
   EXPECT_EQ(steady_state_step_allocations("krum"), 12u);
 }
+
+namespace {
+
+/// perfbench's session_tree shape: mean, n = 16, f = 2, d = 64 under CGE,
+/// a gradient_reverse Byzantine agent, drop 0.05, duplicate 0.2, delay
+/// <= 2, 500 rounds.  The churn twin adds three leave/rejoin cycles of
+/// fault-free agents and keeps the 2f-redundancy headroom throughout.
+chaos::Scenario session_tree_scenario(bool churn) {
+  chaos::Scenario s;
+  s.name = churn ? "session_tree-churn" : "session_tree";
+  s.seed = 5;
+  s.problem = "mean";
+  s.filter = "cge";
+  s.n = 16;
+  s.f = 2;
+  s.d = 64;
+  s.rounds = 500;
+  chaos::FaultSpec byzantine;
+  byzantine.kind = chaos::FaultSpec::Kind::kByzantine;
+  byzantine.agent = 9;
+  byzantine.attack = "gradient_reverse";
+  byzantine.attack_param = 1.0;
+  s.faults = {byzantine};
+  s.channel.drop_probability = 0.05;
+  s.channel.duplicate_probability = 0.2;
+  s.channel.max_delay = 2;
+  if (churn) {
+    using Kind = chaos::MembershipEvent::Kind;
+    s.membership.push_back({Kind::kLeave, 2, 60});
+    s.membership.push_back({Kind::kJoin, 2, 140});
+    s.membership.push_back({Kind::kLeave, 7, 150});
+    s.membership.push_back({Kind::kLeave, 11, 240});
+    s.membership.push_back({Kind::kJoin, 7, 260});
+    s.membership.push_back({Kind::kJoin, 11, 400});
+  }
+  s.validate();
+  return s;
+}
+
+/// Allocations of one in-process tree session at one lane, after a
+/// warm-up session of the same kind (metric registration and the
+/// runtime's first-use state stay out of the count).
+std::size_t session_allocations(bool churn) {
+  runtime::set_threads(1);
+  telemetry::set_enabled(false);
+  const chaos::Scenario s = session_tree_scenario(churn);
+  transport::SessionOptions options;
+  options.topology = transport::Topology::kTree;
+  const auto run = [&] {
+    if (churn) {
+      const elastic::ElasticSession session = elastic::run_elastic_transport(s, options);
+      EXPECT_FALSE(session.result.nonfinite);
+    } else {
+      const transport::ScenarioSession session = transport::run_scenario_transport(s, options);
+      EXPECT_FALSE(session.result.nonfinite);
+    }
+  };
+  run();
+  const AllocationCount count;
+  run();
+  return count.value();
+}
+
+}  // namespace
+
+// Bounded by the counts measured with these cases before the fixed and
+// elastic coordinators shared one round loop (145,619 and 142,303: about
+// 291 and 285 per round).  A session's heap traffic may only fall.
+TEST(Allocations, FixedInprocTreeSession) { EXPECT_LE(session_allocations(false), 145619u); }
+
+TEST(Allocations, ChurnInprocTreeSession) { EXPECT_LE(session_allocations(true), 142303u); }

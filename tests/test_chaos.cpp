@@ -25,7 +25,7 @@
 #include "chaos/round.h"
 #include "chaos/scenario.h"
 #include "chaos/shrink.h"
-#include "elastic/membership.h"
+#include "elastic/churn.h"
 #include "elastic/session.h"
 #include "filters/gradient_filter.h"
 #include "filters/registry.h"
@@ -626,7 +626,7 @@ TEST(AllDrivers, BitIdenticalOnEveryGeneratedScenario) {
   }
 
   // Churning draws: the in-process oracle and the in-process transport
-  // agree on every one.
+  // agree on every one, and the transport's attribution reconciles.
   chaos::GeneratorSpec churny;
   churny.elastic_probability = 1.0;
   chaos::Generator elastic_generator(churny, kMasterSeed);
@@ -637,6 +637,7 @@ TEST(AllDrivers, BitIdenticalOnEveryGeneratedScenario) {
     const elastic::ElasticSession oracle = elastic::run_elastic(s);
     const elastic::ElasticSession inproc = elastic::run_elastic_transport(s, inproc_tree());
     EXPECT_TRUE(elastic::bit_identical(oracle, inproc)) << s.name;
+    EXPECT_TRUE(inproc.attribution.ok()) << s.name;
   }
   EXPECT_GE(churning, 25u);
 }

@@ -19,10 +19,11 @@
 
 #include "chaos/executor.h"
 #include "chaos/generator.h"
+#include "chaos/membership.h"
 #include "chaos/properties.h"
 #include "chaos/scenario.h"
 #include "chaos/shrink.h"
-#include "elastic/membership.h"
+#include "elastic/churn.h"
 #include "elastic/serving.h"
 #include "elastic/session.h"
 #include "filters/gradient_filter.h"
@@ -49,11 +50,11 @@ void reset_telemetry() {
 }
 
 std::string stable_manifest(const elastic::ElasticSession& session) {
-  return telemetry::stable_json_projection(elastic::elastic_manifest_json(session));
+  return telemetry::stable_json_projection(transport::session_manifest_json(session));
 }
 
 std::string stable_trace(const elastic::ElasticSession& session) {
-  return telemetry::stable_json_projection(elastic::elastic_trace_json(session));
+  return telemetry::stable_json_projection(transport::session_trace_json(session));
 }
 
 /// Independent fold of the membership schedule the counters must match.
@@ -143,7 +144,7 @@ TEST(ElasticMembership, ScheduleMatchesScenarioPointQueriesEverywhere) {
        {elastic::make_churn_scenario(elastic::ChurnProfile::kJoinHeavy, kSeed),
         elastic::make_churn_scenario(elastic::ChurnProfile::kLeaveHeavy, kSeed),
         elastic::make_redundancy_dip_scenario(kSeed)}) {
-    const elastic::MembershipSchedule schedule(s);
+    const chaos::MembershipSchedule schedule(s);
     ASSERT_EQ(schedule.rounds(), s.rounds);
     for (std::size_t t = 0; t < s.rounds; ++t) {
       ASSERT_EQ(schedule.members(t), s.members_at(t)) << s.name << " round " << t;

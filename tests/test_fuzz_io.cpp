@@ -22,7 +22,7 @@
 #include "serving/job.h"
 #include "serving/runner.h"
 #include "data/instance_io.h"
-#include "elastic/membership.h"
+#include "elastic/churn.h"
 #include "data/regression.h"
 #include "rng/rng.h"
 #include "telemetry/metrics.h"

@@ -19,7 +19,7 @@
 #include "chaos/scenario.h"
 #include "data/regression.h"
 #include "dgd/trainer.h"
-#include "elastic/membership.h"
+#include "elastic/churn.h"
 #include "elastic/session.h"
 #include "filters/registry.h"
 #include "transport/session.h"

@@ -2,11 +2,9 @@
 // cache, and the batched least-squares gradient path.
 //
 // The kernels underwrite the determinism contract (docs/PERFORMANCE.md):
-// in the default build every reduction is bit-identical to the naive
-// single-accumulator reference loop, so these tests assert EXACT double
-// equality, not tolerances.  Under -DREDOPT_FAST_KERNELS=ON the reduction
-// kernels reorder their sums, so those assertions relax to near-equality;
-// element-wise and matrix kernels stay exact in both modes.
+// every reduction is bit-identical to the naive single-accumulator
+// reference loop, so these tests assert EXACT double equality, not
+// tolerances.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -60,30 +58,20 @@ double naive_distance_squared(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-// Checks a reduction kernel against its reference: exact in the default
-// build, near under REDOPT_FAST_KERNELS (reordered partial sums).
-void expect_reduction(double kernel_value, double reference) {
-  if (kernels::fast_mode()) {
-    EXPECT_NEAR(kernel_value, reference, 1e-12 * (1.0 + std::abs(reference)));
-  } else {
-    EXPECT_EQ(kernel_value, reference);
-  }
-}
-
 }  // namespace
 
 TEST(Kernels, DotMatchesNaiveReference) {
   for (std::size_t n : {0u, 1u, 3u, 7u, 64u, 129u}) {
     const auto a = values(n, 10 + n);
     const auto b = values(n, 20 + n);
-    expect_reduction(kernels::dot(a.data(), b.data(), n), naive_dot(a.data(), b.data(), n));
+    EXPECT_EQ(kernels::dot(a.data(), b.data(), n), naive_dot(a.data(), b.data(), n));
   }
 }
 
 TEST(Kernels, NormSquaredMatchesNaiveReference) {
   for (std::size_t n : {1u, 5u, 32u, 101u}) {
     const auto a = values(n, 30 + n);
-    expect_reduction(kernels::norm_squared(a.data(), n), naive_norm_squared(a.data(), n));
+    EXPECT_EQ(kernels::norm_squared(a.data(), n), naive_norm_squared(a.data(), n));
   }
 }
 
@@ -91,8 +79,8 @@ TEST(Kernels, DistanceSquaredMatchesNaiveReference) {
   for (std::size_t n : {1u, 5u, 32u, 101u}) {
     const auto a = values(n, 40 + n);
     const auto b = values(n, 50 + n);
-    expect_reduction(kernels::distance_squared(a.data(), b.data(), n),
-                     naive_distance_squared(a.data(), b.data(), n));
+    EXPECT_EQ(kernels::distance_squared(a.data(), b.data(), n),
+              naive_distance_squared(a.data(), b.data(), n));
   }
 }
 

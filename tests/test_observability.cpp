@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "chaos/scenario.h"
+#include "elastic/session.h"
 #include "runtime/runtime.h"
 #include "telemetry/events.h"
 #include "telemetry/metrics.h"
@@ -68,6 +69,19 @@ chaos::Scenario faulty_scenario() {
   s.channel.drop_probability = 0.1;
   s.channel.duplicate_probability = 0.2;
   s.channel.max_delay = 2;
+  return s;
+}
+
+/// The pinned scenario with fault-free agent 6 leaving at round 11 and
+/// rejoining at round 19.  Its round-10 reply (delay 1) lands while it is
+/// away, and its round-29 reply (delay 1) falls due past the last
+/// exchanged round, so it is neither delivered nor expected.
+chaos::Scenario churning_scenario() {
+  chaos::Scenario s = faulty_scenario();
+  s.name = "observability-churn";
+  s.membership = {{chaos::MembershipEvent::Kind::kLeave, 6, 11},
+                  {chaos::MembershipEvent::Kind::kJoin, 6, 19}};
+  s.validate();
   return s;
 }
 
@@ -324,27 +338,41 @@ TEST(TraceDeterminism, ArtifactsParseAndCoverEveryProcess) {
 // ---------------------------------------------------------------------------
 
 TEST(Attribution, ReportReconcilesOnBothBackends) {
-  for (const auto backend : {transport::BackendKind::kInproc, transport::BackendKind::kSocket}) {
-    const StableArtifacts run = run_pinned(opts(backend));
-    const transport::AttributionReport& report = run.session.attribution;
+  for (const chaos::Scenario& scenario : {faulty_scenario(), churning_scenario()}) {
+    for (const auto backend : {transport::BackendKind::kInproc, transport::BackendKind::kSocket}) {
+      for (const auto topology :
+           {transport::Topology::kStar, transport::Topology::kChain, transport::Topology::kTree}) {
+        reset_telemetry();
+        const transport::SessionOptions options = opts(backend, topology);
+        const transport::ScenarioSession session =
+            scenario.elastic() ? elastic::run_elastic_transport(scenario, options)
+                               : transport::run_scenario_transport(scenario, options);
+        const transport::AttributionReport& report = session.attribution;
+        const std::string label = scenario.name + "/" + transport::to_string(backend) + "/" +
+                                  transport::to_string(topology);
 
-    EXPECT_TRUE(report.frames_reconcile) << transport::to_string(backend);
-    EXPECT_TRUE(report.bytes_reconcile) << transport::to_string(backend);
-    EXPECT_TRUE(report.fates_reconcile) << transport::to_string(backend);
-    EXPECT_TRUE(report.agents_reconcile) << transport::to_string(backend);
-    ASSERT_TRUE(report.ok()) << transport::to_string(backend);
+        EXPECT_TRUE(report.frames_reconcile) << label;
+        EXPECT_TRUE(report.bytes_reconcile) << label;
+        EXPECT_TRUE(report.fates_reconcile) << label;
+        EXPECT_TRUE(report.agents_reconcile) << label;
+        ASSERT_TRUE(report.ok()) << label;
 
-    // Totals are exact equalities against the transport counters, not
-    // approximations: re-add them here so a reconcile-flag bug cannot
-    // hide a drifting cost model.
-    std::uint64_t frames = 0;
-    for (const transport::AgentAttribution& agent : report.agents) {
-      frames += agent.frames_delivered;
+        // Totals are exact equalities against the transport counters, not
+        // approximations: re-add them here so a reconcile-flag bug cannot
+        // hide a drifting cost model.  Every link stays live, so the
+        // schedule predicts each agent's deliveries exactly.
+        std::uint64_t frames = 0;
+        for (const transport::AgentAttribution& agent : report.agents) {
+          frames += agent.frames_delivered;
+          EXPECT_EQ(agent.expected_frames, agent.frames_delivered)
+              << label << " agent " << agent.agent;
+        }
+        EXPECT_EQ(frames, report.stats.frames_delivered) << label;
+        EXPECT_EQ(report.exchanges, report.stats.exchanges) << label;
+        EXPECT_EQ(report.stats.frames_delivered, session.transport.frames_delivered) << label;
+        EXPECT_EQ(report.stats.bytes_on_wire, session.transport.bytes_on_wire) << label;
+      }
     }
-    EXPECT_EQ(frames, report.stats.frames_delivered);
-    EXPECT_EQ(report.exchanges, report.stats.exchanges);
-    EXPECT_EQ(report.stats.frames_delivered, run.session.transport.frames_delivered);
-    EXPECT_EQ(report.stats.bytes_on_wire, run.session.transport.bytes_on_wire);
   }
 }
 

@@ -13,9 +13,10 @@
 // Scenarios carrying membership or stream events route automatically to
 // the elastic session layer (elastic::run_elastic /
 // run_elastic_transport); everything else runs the fixed-membership
-// paths.  By default the scenario runs on the in-process executor.  Pass
-// --backend (and optionally --topology) to run it as a transport session
-// instead — the same round loop behind a src/transport/ backend:
+// paths.  By default the scenario runs in process (the chaos executor,
+// or elastic::run_elastic).  Pass --backend (and optionally --topology)
+// to run it as a transport session instead — the one coordinator round
+// loop behind a src/transport/ backend, for either kind of scenario:
 //
 //   chaos-replay --scenario repro.json --backend=socket --topology=tree
 //
@@ -64,9 +65,10 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+/// @p elastic_session (membership observables) is set for elastic scenarios.
 int report_result(const chaos::Scenario& scenario, const chaos::ScenarioResult& result,
                   bool as_json, const transport::TransportStats* transport_stats,
-                  const elastic::ElasticSession* elastic_session = nullptr) {
+                  const transport::ScenarioSession* elastic_session = nullptr) {
   const chaos::PropertyReport report = chaos::check_properties(scenario, result);
   if (as_json) {
     std::cout << "{\"name\":\"" << util::json_escape(scenario.name) << "\""
@@ -148,33 +150,14 @@ struct ObservabilityOptions {
   bool any() const { return !trace_out.empty() || attribution || dump_metrics; }
 };
 
-int replay_elastic_transport(const chaos::Scenario& scenario, bool as_json,
-                             const transport::SessionOptions& options,
-                             const ObservabilityOptions& observe) {
-  REDOPT_REQUIRE(!observe.attribution,
-                 "--attribution is not available for elastic scenarios yet");
-  const elastic::ElasticSession session = elastic::run_elastic_transport(scenario, options);
-  const int status = report_result(scenario, session.result, as_json, &session.transport, &session);
-
-  if (!observe.trace_out.empty()) {
-    std::ofstream out(observe.trace_out, std::ios::binary | std::ios::trunc);
-    REDOPT_REQUIRE(out.good(), "cannot open trace output file: " + observe.trace_out);
-    out << elastic::elastic_trace_json(session);
-    REDOPT_REQUIRE(out.good(), "failed writing trace output file: " + observe.trace_out);
-  }
-  if (observe.dump_metrics) {
-    std::cout << telemetry::render_prometheus(telemetry::merge_agent_snapshots(
-        telemetry::registry().snapshot(), session.agents));
-  }
-  return status;
-}
-
 int replay_transport(const chaos::Scenario& scenario, bool as_json,
                      const transport::SessionOptions& options,
                      const ObservabilityOptions& observe) {
-  if (scenario.elastic()) return replay_elastic_transport(scenario, as_json, options, observe);
-  const transport::ScenarioSession session = transport::run_scenario_transport(scenario, options);
-  int status = report_result(scenario, session.result, as_json, &session.transport);
+  const transport::ScenarioSession session =
+      scenario.elastic() ? elastic::run_elastic_transport(scenario, options)
+                         : transport::run_scenario_transport(scenario, options);
+  int status = report_result(scenario, session.result, as_json, &session.transport,
+                             scenario.elastic() ? &session : nullptr);
 
   if (!observe.trace_out.empty()) {
     std::ofstream out(observe.trace_out, std::ios::binary | std::ios::trunc);
