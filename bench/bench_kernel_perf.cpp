@@ -166,8 +166,8 @@ void bm_qr(benchmark::State& state) {
   Vector b(blocks * d);
   for (std::size_t id = 0; id < blocks; ++id) {
     for (std::size_t r = 0; r < d; ++r) {
-      for (std::size_t c = 0; c < d; ++c) stacked(id * d + r, c) = inst.blocks[id](r, c);
-      b[id * d + r] = inst.observations[id][r];
+      for (std::size_t c = 0; c < d; ++c) stacked(id * d + r, c) = inst.block(id)(r, c);
+      b[id * d + r] = inst.observation(id)[r];
     }
   }
   for (auto _ : state) {

@@ -4,15 +4,16 @@
 // Three questions, one binary:
 //
 //   * jobs/sec through the scheduler — the in-process core: admission,
-//     cross-job gradient stacking, round-robin slices, checkpoint
+//     round-robin slices through each job's kept kernel, checkpoint
 //     serialization after every slice (the daemon's persistence cost
 //     without the filesystem).  The jobs_per_second counter is the R-S1
 //     headline number.
 //
 //   * what one admission costs — serving/admit submits an n = 16, d = 64
 //     block_regression job (materialization with its honest-minimum QR,
-//     the initial checkpoint, the restack) into a table already holding
-//     five live jobs of that shape.
+//     the initial checkpoint, the job's round kernel) into a table
+//     already holding five live jobs of that shape; it copies none of
+//     their rows.
 //
 //   * time-to-result over the wire — a live daemon on a Unix-domain
 //     socket, client threads submitting a batch of jobs and polling to

@@ -27,9 +27,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# A deterministic job batch; job-big gets enough rounds (the full
-# default per-job budget) that the kill below lands mid-job even on a
-# fast machine (~40K rounds/s measured -> ~2.5 s of slicing).
+# A deterministic job batch; job-big gets the full default per-job
+# budget of rounds, so it is still running when the kill below lands.
 "$REDOPTD" --generate 2 --seed 7 > "$OUT/jobs.jsonl"
 head -1 "$OUT/jobs.jsonl" | sed 's/"job":"job-0"/"job":"job-a"/' > "$OUT/job-a.json"
 sed -n 2p "$OUT/jobs.jsonl" | sed 's/"job":"job-1"/"job":"job-b"/' > "$OUT/job-b.json"
@@ -76,13 +75,28 @@ DAEMON_PID=""
 echo "=== crash run (kill -9 mid-job, restart over the same state dir) ==="
 start_daemon "$OUT/cr.sock" "$OUT/cr"
 submit_all "$OUT/cr.sock"
-sleep 1
+# Kill once job-big has run a few slices, so the restart re-adopts a
+# straggler window and in-flight replies, and long before its last
+# round (a fixed sleep lets a fast machine finish all 100,000 rounds).
+rounds_done=0
+for _ in $(seq 1 1000); do
+  rounds_done=$("$REDOPTD" --status job-big --socket "$OUT/cr.sock" 2>/dev/null \
+    | sed -n 's/.*"rounds_done":\([0-9]*\).*/\1/p')
+  [ "${rounds_done:-0}" -ge 64 ] && break
+  sleep 0.01
+done
 kill -9 "$DAEMON_PID"
 DAEMON_PID=""
-if [ ! -f "$OUT/cr/job-big.ckpt.json" ]; then
-  echo "check_serving.sh: kill landed after completion — no checkpoint to resume" >&2
+# The persisted checkpoint must be mid-job: past round 0 (the one written
+# at admission) and short of the end (a finished job has none).
+ckpt_round=$(sed -n 's/.*"next_round":\([0-9]*\).*/\1/p' "$OUT/cr/job-big.ckpt.json" \
+  2>/dev/null || true)
+if [ "${ckpt_round:-0}" -eq 0 ] || [ "$ckpt_round" -ge 100000 ]; then
+  echo "check_serving.sh: kill did not land mid-job (status rounds_done=${rounds_done:-?}," \
+    "checkpoint next_round=${ckpt_round:-none})" >&2
   exit 1
 fi
+echo "  killed with job-big's checkpoint at round $ckpt_round"
 
 start_daemon "$OUT/cr.sock" "$OUT/cr"
 grep -q "resumed" "$OUT/cr.log"

@@ -40,7 +40,16 @@ class Attack {
   virtual ~Attack() = default;
 
   /// The vector the faulty agent sends instead of its gradient.
-  virtual Vector craft(const AttackContext& ctx) const = 0;
+  Vector craft(const AttackContext& ctx) const {
+    Vector out;
+    craft_into(ctx, out);
+    return out;
+  }
+
+  /// Writes craft(ctx) into @p out.  An attack that works in place
+  /// allocates nothing once @p out has the gradient's dimension.  @p out
+  /// must not alias a vector the context points to.
+  virtual void craft_into(const AttackContext& ctx, Vector& out) const = 0;
 
   /// Whether the faulty agent replies at all this iteration.  In the
   /// synchronous model a missing reply identifies the agent as faulty: the

@@ -27,42 +27,42 @@ GradientReverseAttack::GradientReverseAttack(double scale) : scale_(scale) {
   REDOPT_REQUIRE(scale > 0.0, "gradient-reverse scale must be positive");
 }
 
-Vector GradientReverseAttack::craft(const AttackContext& ctx) const {
+void GradientReverseAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "gradient_reverse");
-  return *ctx.honest_gradient * (-scale_);
+  out = *ctx.honest_gradient;
+  out *= -scale_;
 }
 
 RandomGaussianAttack::RandomGaussianAttack(double sigma) : sigma_(sigma) {
   REDOPT_REQUIRE(sigma >= 0.0, "random attack sigma must be non-negative");
 }
 
-Vector RandomGaussianAttack::craft(const AttackContext& ctx) const {
+void RandomGaussianAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "random");
-  Vector out(ctx.honest_gradient->size());
+  out.data().resize(ctx.honest_gradient->size());
   for (auto& x : out) x = ctx.rng->gaussian(0.0, sigma_);
-  return out;
 }
 
-Vector ZeroAttack::craft(const AttackContext& ctx) const {
+void ZeroAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "zero");
-  return Vector(ctx.honest_gradient->size());
+  out.data().assign(ctx.honest_gradient->size(), 0.0);
 }
 
 LargeNormAttack::LargeNormAttack(double magnitude) : magnitude_(magnitude) {
   REDOPT_REQUIRE(magnitude > 0.0, "large-norm magnitude must be positive");
 }
 
-Vector LargeNormAttack::craft(const AttackContext& ctx) const {
+void LargeNormAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "large_norm");
-  const auto dir = ctx.rng->unit_sphere(ctx.honest_gradient->size());
-  return Vector(dir) * magnitude_;
+  out = Vector(ctx.rng->unit_sphere(ctx.honest_gradient->size()));
+  out *= magnitude_;
 }
 
 LittleIsEnoughAttack::LittleIsEnoughAttack(double z) : z_(z) {
   REDOPT_REQUIRE(z > 0.0, "LIE z must be positive");
 }
 
-Vector LittleIsEnoughAttack::craft(const AttackContext& ctx) const {
+void LittleIsEnoughAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, true, "lie");
   const auto& honest = *ctx.honest_gradients;
   const Vector mu = linalg::mean(honest);
@@ -75,23 +75,24 @@ Vector LittleIsEnoughAttack::craft(const AttackContext& ctx) const {
     }
     sd[k] = std::sqrt(var.value() / static_cast<double>(honest.size()));
   }
-  return mu - sd * z_;
+  out = mu - sd * z_;
 }
 
 InnerProductAttack::InnerProductAttack(double c) : c_(c) {
   REDOPT_REQUIRE(c > 0.0, "IPM factor must be positive");
 }
 
-Vector InnerProductAttack::craft(const AttackContext& ctx) const {
+void InnerProductAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, true, "ipm");
-  return linalg::mean(*ctx.honest_gradients) * (-c_);
+  out = linalg::mean(*ctx.honest_gradients);
+  out *= -c_;
 }
 
 NormCamouflageAttack::NormCamouflageAttack(double aggression) : aggression_(aggression) {
   REDOPT_REQUIRE(aggression > 0.0, "camouflage aggression must be positive");
 }
 
-Vector NormCamouflageAttack::craft(const AttackContext& ctx) const {
+void NormCamouflageAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, true, "camouflage");
   const auto& honest = *ctx.honest_gradients;
   std::vector<double> norms;
@@ -101,20 +102,26 @@ Vector NormCamouflageAttack::craft(const AttackContext& ctx) const {
   const double median = norms[norms.size() / 2];
   const Vector mu = linalg::mean(honest);
   const double mu_norm = mu.norm();
-  if (mu_norm == 0.0) return Vector(mu.size());  // honest mean is zero: nothing to reverse
-  return mu * (-aggression_ * median / mu_norm);
+  if (mu_norm == 0.0) {  // honest mean is zero: nothing to reverse
+    out = Vector(mu.size());
+    return;
+  }
+  out = mu * (-aggression_ * median / mu_norm);
 }
 
 OrthogonalDriftAttack::OrthogonalDriftAttack(double aggression) : aggression_(aggression) {
   REDOPT_REQUIRE(aggression > 0.0, "orthogonal-drift aggression must be positive");
 }
 
-Vector OrthogonalDriftAttack::craft(const AttackContext& ctx) const {
+void OrthogonalDriftAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, true, "orthogonal_drift");
   const auto& honest = *ctx.honest_gradients;
   const Vector mu = linalg::mean(honest);
   const std::size_t d = mu.size();
-  if (d < 2) return Vector(d);  // no orthogonal complement in 1-D
+  if (d < 2) {  // no orthogonal complement in 1-D
+    out = Vector(d);
+    return;
+  }
   linalg::kernels::Sum norm_sum;
   for (const auto& g : honest) norm_sum.add(g.norm());
   const double target = aggression_ * norm_sum.value() / static_cast<double>(honest.size());
@@ -122,16 +129,19 @@ Vector OrthogonalDriftAttack::craft(const AttackContext& ctx) const {
   const double mu_sq = linalg::dot(mu, mu);
   if (mu_sq > 0.0) dir = dir - mu * (linalg::dot(dir, mu) / mu_sq);
   const double dir_norm = dir.norm();
-  if (dir_norm < 1e-12) return Vector(d);  // draw was (numerically) parallel to the mean
-  return dir * (target / dir_norm);
+  if (dir_norm < 1e-12) {  // draw was (numerically) parallel to the mean
+    out = Vector(d);
+    return;
+  }
+  out = dir * (target / dir_norm);
 }
 
 MimicAttack::MimicAttack(std::size_t target_rank) : target_rank_(target_rank) {}
 
-Vector MimicAttack::craft(const AttackContext& ctx) const {
+void MimicAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, true, "mimic");
   const auto& honest = *ctx.honest_gradients;
-  return honest[target_rank_ % honest.size()];
+  out = honest[target_rank_ % honest.size()];
 }
 
 SwitchAttack::SwitchAttack(AttackPtr inner, std::size_t switch_at)
@@ -139,10 +149,13 @@ SwitchAttack::SwitchAttack(AttackPtr inner, std::size_t switch_at)
   REDOPT_REQUIRE(inner_ != nullptr, "switch attack needs an inner attack");
 }
 
-Vector SwitchAttack::craft(const AttackContext& ctx) const {
+void SwitchAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "switch");
-  if (ctx.iteration < switch_at_) return *ctx.honest_gradient;  // sleeper phase
-  return inner_->craft(ctx);
+  if (ctx.iteration < switch_at_) {  // sleeper phase
+    out = *ctx.honest_gradient;
+    return;
+  }
+  inner_->craft_into(ctx, out);
 }
 
 bool SwitchAttack::responds(const AttackContext& ctx) const {
@@ -152,10 +165,10 @@ bool SwitchAttack::responds(const AttackContext& ctx) const {
 
 DropoutAttack::DropoutAttack(std::size_t drop_after) : drop_after_(drop_after) {}
 
-Vector DropoutAttack::craft(const AttackContext& ctx) const {
+void DropoutAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "dropout");
   // Behaves honestly while it still replies.
-  return *ctx.honest_gradient;
+  out = *ctx.honest_gradient;
 }
 
 bool DropoutAttack::responds(const AttackContext& ctx) const {
@@ -166,11 +179,11 @@ PoisonedCostAttack::PoisonedCostAttack(double noise) : noise_(noise) {
   REDOPT_REQUIRE(noise >= 0.0, "poisoned-cost noise must be non-negative");
 }
 
-Vector PoisonedCostAttack::craft(const AttackContext& ctx) const {
+void PoisonedCostAttack::craft_into(const AttackContext& ctx, Vector& out) const {
   detail::check_context(ctx, false, "poisoned_cost");
-  Vector out = -*ctx.honest_gradient;
+  out = *ctx.honest_gradient;
+  for (auto& x : out) x = -x;
   for (auto& x : out) x += ctx.rng->gaussian(0.0, noise_);
-  return out;
 }
 
 }  // namespace redopt::attacks

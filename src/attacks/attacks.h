@@ -13,7 +13,7 @@ namespace redopt::attacks {
 class GradientReverseAttack final : public Attack {
  public:
   explicit GradientReverseAttack(double scale = 1.0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "gradient_reverse"; }
 
  private:
@@ -25,7 +25,7 @@ class GradientReverseAttack final : public Attack {
 class RandomGaussianAttack final : public Attack {
  public:
   explicit RandomGaussianAttack(double sigma = 200.0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "random"; }
 
  private:
@@ -35,7 +35,7 @@ class RandomGaussianAttack final : public Attack {
 /// Send the zero vector (a "mute" fault; weakest possible behaviour).
 class ZeroAttack final : public Attack {
  public:
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "zero"; }
 };
 
@@ -44,7 +44,7 @@ class ZeroAttack final : public Attack {
 class LargeNormAttack final : public Attack {
  public:
   explicit LargeNormAttack(double magnitude = 1e6);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "large_norm"; }
 
  private:
@@ -57,7 +57,7 @@ class LargeNormAttack final : public Attack {
 class LittleIsEnoughAttack final : public Attack {
  public:
   explicit LittleIsEnoughAttack(double z = 1.0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "lie"; }
 
  private:
@@ -70,7 +70,7 @@ class LittleIsEnoughAttack final : public Attack {
 class InnerProductAttack final : public Attack {
  public:
   explicit InnerProductAttack(double c = 1.0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "ipm"; }
 
  private:
@@ -88,7 +88,7 @@ class MimicAttack final : public Attack {
   /// Copies the gradient of the honest agent at @p target_rank within the
   /// honest gradient list (wrapped modulo the list size).
   explicit MimicAttack(std::size_t target_rank = 0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "mimic"; }
 
  private:
@@ -104,7 +104,7 @@ class SwitchAttack final : public Attack {
  public:
   /// @p inner must be non-null; ownership shared.
   SwitchAttack(AttackPtr inner, std::size_t switch_at);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   bool responds(const AttackContext& ctx) const override;
   std::string name() const override { return "switch"; }
 
@@ -121,7 +121,7 @@ class SwitchAttack final : public Attack {
 class DropoutAttack final : public Attack {
  public:
   explicit DropoutAttack(std::size_t drop_after = 0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   bool responds(const AttackContext& ctx) const override;
   std::string name() const override { return "dropout"; }
 
@@ -141,7 +141,7 @@ class NormCamouflageAttack final : public Attack {
   /// @p aggression multiplies the camouflage norm; 1.0 blends in exactly,
   /// values < 1 hide *below* the honest norms.
   explicit NormCamouflageAttack(double aggression = 1.0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "camouflage"; }
 
  private:
@@ -158,7 +158,7 @@ class NormCamouflageAttack final : public Attack {
 class OrthogonalDriftAttack final : public Attack {
  public:
   explicit OrthogonalDriftAttack(double aggression = 1.0);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "orthogonal_drift"; }
 
  private:
@@ -173,7 +173,7 @@ class PoisonedCostAttack final : public Attack {
  public:
   /// @p noise: standard deviation of additive Gaussian noise.
   explicit PoisonedCostAttack(double noise = 0.1);
-  Vector craft(const AttackContext& ctx) const override;
+  void craft_into(const AttackContext& ctx, Vector& out) const override;
   std::string name() const override { return "poisoned_cost"; }
 
  private:

@@ -1,14 +1,34 @@
 #include "chaos/round.h"
 
 #include <algorithm>
-#include <iterator>
+#include <array>
+#include <charconv>
 #include <limits>
+#include <string_view>
 
 #include "filters/registry.h"
 #include "runtime/runtime.h"
 #include "util/error.h"
 
 namespace redopt::chaos {
+
+namespace {
+
+/// "<head><a><mid><b>" in @p buf: the bytes head + std::to_string(a) +
+/// mid + std::to_string(b) would hold, without the heap.  The two labels
+/// take at most 19 + 20 + 2 + 20 = 61 bytes; every write is bounded by
+/// the buffer's end all the same.
+std::string_view fork_label(std::array<char, 64>& buf, std::string_view head, std::size_t a,
+                            std::string_view mid, std::size_t b) {
+  char* const end = buf.data() + buf.size();
+  char* p = std::copy(head.begin(), head.end(), buf.data());
+  p = std::to_chars(p, end, a).ptr;
+  p = std::copy_n(mid.begin(), std::min(mid.size(), static_cast<std::size_t>(end - p)), p);
+  p = std::to_chars(p, end, b).ptr;
+  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
+}
+
+}  // namespace
 
 ChannelDecision channel_decision(const ChannelFaults& faults, std::uint64_t seed,
                                  std::size_t agent, std::size_t round) {
@@ -17,8 +37,9 @@ ChannelDecision channel_decision(const ChannelFaults& faults, std::uint64_t seed
       faults.max_delay == 0) {
     return decision;
   }
-  rng::Rng stream = rng::Rng(seed).fork("transport-channel-a" + std::to_string(agent) + "-r" +
-                                        std::to_string(round));
+  std::array<char, 64> label;
+  rng::Rng stream =
+      rng::Rng(seed).fork(fork_label(label, "transport-channel-a", agent, "-r", round));
   // Draw all three knobs unconditionally so the decision is a pure
   // function of the label, not of which probabilities are non-zero.
   const double drop_draw = stream.uniform();
@@ -57,7 +78,8 @@ RoundFate round_fate(const Scenario& scenario, std::size_t agent, std::size_t ro
 }
 
 rng::Rng attack_rng(std::uint64_t seed, std::size_t agent, std::size_t round) {
-  return rng::Rng(seed).fork("attack-" + std::to_string(agent) + "-" + std::to_string(round));
+  std::array<char, 64> label;
+  return rng::Rng(seed).fork(fork_label(label, "attack-", agent, "-", round));
 }
 
 FilterCache::FilterCache(std::string name, FilterFactory factory)
@@ -139,24 +161,25 @@ RoundKernel::RoundKernel(const Scenario& scenario, const MaterializedScenario& b
                          KernelOptions options)
     : scenario_(scenario),
       built_(built),
-      options_(std::move(options)),
       attack_of_(scenario.n),
-      filters_(scenario.filter, options_.filter_factory),
+      filters_(scenario.filter, std::move(options.filter_factory)),
       schedule_(scenario_schedule_coefficient(scenario.filter, scenario.n, scenario.f)),
       projection_(dgd::BoxProjection::cube(scenario.d, 10.0)),
       max_staleness_(scenario.max_staleness()),
       fates_(scenario.n),
       payloads_(scenario.n),
-      residual_ws_(options_.evaluator != nullptr ? scenario.n : 0) {
+      scratch_(scenario.n) {
   REDOPT_REQUIRE(!scenario.elastic(), "round kernel: fixed-membership scenarios only");
-  REDOPT_REQUIRE(options_.evaluator == nullptr ||
-                     options_.agent_base + scenario.n <= options_.evaluator->num_agents(),
-                 "round kernel: evaluator group out of range");
+  REDOPT_REQUIRE(built.problem.costs.size() == scenario.n,
+                 "round kernel: the materialized problem has the wrong agent count");
   for (const FaultSpec& spec : scenario.faults) {
     if (spec.kind == FaultSpec::Kind::kByzantine) {
       attack_of_[spec.agent] = make_scenario_attack(spec.attack, spec.attack_param);
     }
   }
+  observed_.reserve(scenario.n);
+  arrivals_.reserve(2 * scenario.n);
+  received_.reserve(scenario.n);
 }
 
 void RoundKernel::step(RoundState& state) {
@@ -168,19 +191,15 @@ void RoundKernel::step(RoundState& state) {
 
   // --- Emission: every non-crashed agent computes its reply, stragglers
   // on an old estimate.  Byzantine agents are never stale: the attack
-  // sees the freshest state (worst case for the server). ---
-  const std::deque<linalg::Vector>& history = state.history;
-  runtime::parallel_for(0, n, [&](std::size_t i) {
+  // sees the freshest state (worst case for the server).  The lambda
+  // captures two pointers, so std::function holds it without the heap. ---
+  const std::deque<linalg::Vector>* history = &state.history;
+  runtime::parallel_for(0, n, [this, history](std::size_t i) {
     const RoundFate& fate = fates_[i];
     if (!fate.emits) return;
     const std::size_t lag =
-        fate.stale ? std::min(s.fault_of(i)->staleness, history.size() - 1) : 0;
-    if (options_.evaluator != nullptr) {
-      options_.evaluator->evaluate_agent(options_.agent_base + i, history[lag], residual_ws_[i],
-                                         payloads_[i]);
-    } else {
-      payloads_[i] = built_.problem.costs[i]->gradient(history[lag]);
-    }
+        fate.stale ? std::min(scenario_.fault_of(i)->staleness, history->size() - 1) : 0;
+    built_.problem.costs[i]->gradient_into((*history)[lag], payloads_[i], scratch_[i]);
   });
 
   RoundCounters& counters = state.counters;
@@ -195,17 +214,19 @@ void RoundKernel::step(RoundState& state) {
   }
 
   // --- Attack: what the adversary observes is the replies of the agents
-  // that are not Byzantine this execution (stale where straggling). ---
+  // that are not Byzantine this execution (stale where straggling).  Their
+  // payloads move into the view and back, so nothing is copied. ---
   if (attacked) {
-    std::vector<linalg::Vector> observed;
-    observed.reserve(n);
+    observed_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (attack_of_[i] == nullptr && fates_[i].emits) observed.push_back(payloads_[i]);
+      if (attack_of_[i] == nullptr && fates_[i].emits) observed_.push_back(std::move(payloads_[i]));
     }
+    const std::size_t seen = observed_.size();
     for (std::size_t i = 0; i < n; ++i) {
       if (!fates_[i].byzantine) continue;
-      const linalg::Vector true_gradient = payloads_[i];
-      const std::vector<linalg::Vector> fallback{true_gradient};
+      true_gradient_ = payloads_[i];
+      // With no observed reply the adversary sees only its own gradient.
+      if (seen == 0) observed_.assign(1, true_gradient_);
       rng::Rng rng = attack_rng(s.seed, i, t);
       attacks::AttackContext ctx;
       ctx.iteration = t;
@@ -213,24 +234,35 @@ void RoundKernel::step(RoundState& state) {
       ctx.n = n;
       ctx.f = s.f;
       ctx.estimate = &state.x;
-      ctx.honest_gradient = &true_gradient;
-      ctx.honest_gradients = observed.empty() ? &fallback : &observed;
+      ctx.honest_gradient = &true_gradient_;
+      ctx.honest_gradients = &observed_;
       ctx.rng = &rng;
-      payloads_[i] = attack_of_[i]->craft(ctx);
+      attack_of_[i]->craft_into(ctx, payloads_[i]);
       REDOPT_REQUIRE(payloads_[i].size() == s.d, "attack crafted a wrong-dimension vector");
       ++counters.byzantine_replies;
+    }
+    for (std::size_t i = 0, k = 0; k < seen; ++i) {
+      if (attack_of_[i] == nullptr && fates_[i].emits) payloads_[i] = std::move(observed_[k++]);
     }
   }
 
   // --- Channel: replies delayed into this round arrive first, then each
   // emitted reply is dropped, duplicated (the extra copy lands on time)
-  // or delayed.  Pending replies stay ordered by delivery round. ---
+  // or delayed.  Pending replies stay ordered by delivery round; a new
+  // delayed reply reuses the buffer of one delivered earlier, and only a
+  // reply beyond every earlier round's in-flight count allocates. ---
+  for (PendingReply& reply : due_) spare_payloads_.push_back(std::move(reply.payload));
+  due_.clear();
   std::vector<PendingReply>& pending = state.pending;
   const auto due_end = std::find_if(pending.begin(), pending.end(),
                                     [t](const PendingReply& r) { return r.deliver_at != t; });
-  std::vector<PendingReply> arrivals(std::make_move_iterator(pending.begin()),
-                                     std::make_move_iterator(due_end));
+  for (auto it = pending.begin(); it != due_end; ++it) due_.push_back(std::move(*it));
   pending.erase(pending.begin(), due_end);
+
+  arrivals_.clear();
+  for (const PendingReply& reply : due_) {
+    arrivals_.push_back(Arrival{reply.agent, reply.emitted, &reply.payload});
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const RoundFate& fate = fates_[i];
     if (!fate.emits) continue;
@@ -240,16 +272,19 @@ void RoundKernel::step(RoundState& state) {
     }
     if (fate.duplicated) {
       ++counters.duplicated_replies;
-      arrivals.push_back(PendingReply{i, t, t, payloads_[i]});
+      arrivals_.push_back(Arrival{i, t, &payloads_[i]});
     }
-    // A copy, not a move: the payload slots keep their buffers across
-    // rounds, and the batched evaluator writes into them in place.
-    PendingReply reply{i, t, t + fate.delay, payloads_[i]};
     if (fate.delay == 0) {
-      arrivals.push_back(std::move(reply));
+      arrivals_.push_back(Arrival{i, t, &payloads_[i]});
       continue;
     }
     ++counters.delayed_replies;
+    PendingReply reply{i, t, t + fate.delay, {}};
+    if (!spare_payloads_.empty()) {
+      reply.payload = std::move(spare_payloads_.back());
+      spare_payloads_.pop_back();
+    }
+    reply.payload = payloads_[i];
     const auto at = std::upper_bound(
         pending.begin(), pending.end(), reply.deliver_at,
         [](std::size_t due, const PendingReply& r) { return due < r.deliver_at; });
@@ -259,33 +294,43 @@ void RoundKernel::step(RoundState& state) {
   // --- Receive: the freshest reply per agent (sequence-number dedup: a
   // stale or duplicate arrival never replaces a fresher one). ---
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> freshest(n, kNone);
-  for (std::size_t k = 0; k < arrivals.size(); ++k) {
-    std::size_t& best = freshest[arrivals[k].agent];
+  freshest_.assign(n, kNone);
+  for (std::size_t k = 0; k < arrivals_.size(); ++k) {
+    std::size_t& best = freshest_[arrivals_[k].agent];
     if (best == kNone) {
       best = k;
       continue;
     }
-    if (arrivals[k].emitted > arrivals[best].emitted) best = k;
+    if (arrivals_[k].emitted > arrivals_[best].emitted) best = k;
     ++counters.superseded_replies;
   }
-  std::vector<linalg::Vector> received;
-  received.reserve(n);
-  for (const std::size_t k : freshest) {
-    if (k != kNone) received.push_back(std::move(arrivals[k].payload));
+  received_.clear();
+  for (const std::size_t k : freshest_) {
+    if (k != kNone) received_.push_back(arrivals_[k].payload);
   }
 
-  // --- Aggregate and step. ---
+  // --- Aggregate and step: x <- Proj(x - eta_t * direction), in place. ---
   linalg::Vector& x = state.x;
-  if (!received.empty()) {
+  if (!received_.empty()) {
     std::size_t f_used = 0;
-    const filters::FilterPtr& filter = filters_.get(received.size(), s.f, &f_used);
-    if (received.size() != n || f_used != s.f) ++counters.filter_rebuilds;
-    const linalg::Vector direction = filter->apply(received);
-    x = projection_.project(x - direction * schedule_.step(t));
+    const filters::FilterPtr& filter = filters_.get(received_.size(), s.f, &f_used);
+    if (received_.size() != n || f_used != s.f) ++counters.filter_rebuilds;
+    filter->apply_into(received_, direction_, filter_scratch_);
+    direction_ *= schedule_.step(t);
+    x -= direction_;
+    projection_.project_in_place(x);
   }
-  state.history.push_front(x);
-  while (state.history.size() > max_staleness_ + 1) state.history.pop_back();
+
+  // The straggler window slides by one: the oldest entry's buffer takes x
+  // (a reloaded window longer than the scenario needs is cut first).
+  std::deque<linalg::Vector>& window = state.history;
+  while (window.size() > max_staleness_ + 1) window.pop_back();
+  if (window.size() < max_staleness_ + 1) {
+    window.push_front(x);
+  } else {
+    std::rotate(window.rbegin(), window.rbegin() + 1, window.rend());
+    window.front() = x;
+  }
 
   state.next_round = t + 1;
   if (!x.is_finite()) {

@@ -12,9 +12,12 @@
 //
 // RoundKernel::step() is the fixed-membership round itself: emission ->
 // attack -> channel -> freshest-reply dedup -> filter -> projected step.
-// chaos::run_scenario runs it to the end; serving::run_job_slice runs it
-// for one slice.  It records no telemetry: each driver wraps it in its
-// own spans and books its own counters from fates().
+// chaos::run_scenario runs it to the end; serving keeps one kernel per job
+// and runs it a slice at a time.  Every agent evaluates through its own
+// cost (CostFunction::gradient_into), and the kernel owns every round
+// buffer, so a steady-state step allocates nothing with CGE, CWTM or Krum.
+// It records no telemetry: each driver wraps it in its own spans and
+// books its own counters from fates().
 #pragma once
 
 #include <cstdint>
@@ -28,10 +31,10 @@
 #include "attacks/attack.h"
 #include "chaos/executor.h"
 #include "chaos/scenario.h"
-#include "core/batch_gradient.h"
 #include "dgd/projection.h"
 #include "dgd/schedule.h"
 #include "filters/gradient_filter.h"
+#include "filters/norm_cache.h"
 #include "linalg/vector.h"
 #include "rng/rng.h"
 
@@ -145,12 +148,6 @@ ScenarioResult scenario_result(const RoundState& state, const MaterializedScenar
 /// Execution knobs of a kernel that are not part of the scenario.
 struct KernelOptions {
   FilterFactory filter_factory;  ///< see FilterCache
-
-  /// Optional batched gradient path: agent i evaluates through
-  /// evaluator->evaluate_agent(agent_base + i, ...), bit-identical to
-  /// the virtual cost path by the evaluator's contract.
-  const core::BatchGradientEvaluator* evaluator = nullptr;
-  std::size_t agent_base = 0;
 };
 
 /// The fixed-membership scenario round.  Honest gradients fan out over
@@ -163,15 +160,27 @@ class RoundKernel {
               KernelOptions options = {});
 
   /// Runs round state.next_round.  Requires !state.finished(rounds).
+  /// Carries nothing of its own from one step to the next but warm
+  /// buffers and filters, so consecutive steps may come from different
+  /// RoundStates of the same scenario (a reloaded checkpoint).
   void step(RoundState& state);
 
   /// The fates of the round the last step() ran, one per agent.
   const std::vector<RoundFate>& fates() const { return fates_; }
 
+  const Scenario& scenario() const { return scenario_; }
+
  private:
+  /// One reply reaching the coordinator this round; the payload lives in
+  /// payloads_ (on time) or due_ (delivered late).
+  struct Arrival {
+    std::size_t agent = 0;
+    std::size_t emitted = 0;
+    const linalg::Vector* payload = nullptr;
+  };
+
   const Scenario& scenario_;
   const MaterializedScenario& built_;
-  KernelOptions options_;
   /// Set for agents Byzantine at any round: the adversary never observes them.
   std::vector<std::unique_ptr<attacks::Attack>> attack_of_;
   FilterCache filters_;
@@ -179,9 +188,24 @@ class RoundKernel {
   dgd::BoxProjection projection_;
   std::size_t max_staleness_;
 
+  // Round buffers, kept across steps.
   std::vector<RoundFate> fates_;
-  std::vector<linalg::Vector> payloads_;
-  std::vector<linalg::Vector> residual_ws_;  ///< evaluator scratch, one per agent
+  std::vector<linalg::Vector> payloads_;  ///< agent i's reply this round
+  std::vector<linalg::Vector> scratch_;   ///< agent i's gradient_into scratch
+  linalg::Vector true_gradient_;          ///< a Byzantine agent's honest reply
+  /// The adversary's view: the observed agents' payloads, moved in for
+  /// the attacks and moved back after.
+  std::vector<linalg::Vector> observed_;
+  std::vector<PendingReply> due_;  ///< delayed replies delivered this round
+  /// Buffers of delivered replies, reused by later delayed replies.  The
+  /// pool grows only when more replies are in flight than ever before, so
+  /// it follows the channel's load, not max_delay.
+  std::vector<linalg::Vector> spare_payloads_;
+  std::vector<Arrival> arrivals_;
+  std::vector<std::size_t> freshest_;
+  std::vector<const linalg::Vector*> received_;
+  linalg::Vector direction_;
+  filters::FilterScratch filter_scratch_;
 };
 
 }  // namespace redopt::chaos

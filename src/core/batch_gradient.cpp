@@ -106,39 +106,4 @@ void BatchGradientEvaluator::evaluate_agent(std::size_t i, const Vector& x, Vect
   linalg::kernels::scale(g, 2.0, d_);
 }
 
-void BatchGradientEvaluator::evaluate_groups(const std::vector<Vector>& xs,
-                                             std::vector<std::vector<Vector>>& out) {
-  REDOPT_REQUIRE(xs.size() == num_groups(), "batch gradient: one iterate per group required");
-  const std::size_t total_rows = row_offsets_.back();
-  residual_.resize(total_rows);
-  // One residual arena for the whole batch: each group's row block
-  // multiplies that group's iterate, then a single subtraction pass
-  // covers every row.  Row independence keeps each group's bytes equal
-  // to a per-group evaluate_all().
-  for (std::size_t g = 0; g < num_groups(); ++g) {
-    REDOPT_REQUIRE(xs[g].size() == d_, "batch gradient dimension mismatch");
-    const std::size_t row_lo = row_offsets_[group_offsets_[g]];
-    const std::size_t row_hi = row_offsets_[group_offsets_[g + 1]];
-    linalg::kernels::matvec(rows_.data() + row_lo * d_, row_hi - row_lo, d_, xs[g].data().data(),
-                            residual_.data() + row_lo);
-  }
-  linalg::kernels::sub(residual_.data(), rhs_.data(), total_rows);
-
-  out.resize(num_groups());
-  for (std::size_t g = 0; g < num_groups(); ++g) {
-    const std::size_t agents = group_agents(g);
-    out[g].resize(agents);
-    for (std::size_t local = 0; local < agents; ++local) {
-      const std::size_t i = group_offsets_[g] + local;
-      const std::size_t lo = row_offsets_[i];
-      const std::size_t rows = row_offsets_[i + 1] - lo;
-      if (out[g][local].size() != d_) out[g][local] = Vector(d_);
-      double* grad = out[g][local].data().data();
-      linalg::kernels::matvec_transposed(rows_.data() + lo * d_, rows, d_, residual_.data() + lo,
-                                         grad);
-      linalg::kernels::scale(grad, 2.0, d_);
-    }
-  }
-}
-
 }  // namespace redopt::core

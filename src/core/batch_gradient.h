@@ -1,19 +1,20 @@
 // Batched gradient evaluation for least-squares agent populations.
 //
-// The DGD/SGD/async trainer hot loops evaluate every agent's gradient at
-// the same iterate x each round.  For the paper's evaluation family —
-// every agent holds a LeastSquaresCost Q_i(x) = ||A_i x - b_i||^2 — the
-// virtual per-agent path allocates a residual and a gradient per call and
-// re-reads x once per agent.  This evaluator stacks all agents' rows once
-// at construction and exposes
+// For the paper's evaluation family — every agent holds a
+// LeastSquaresCost Q_i(x) = ||A_i x - b_i||^2 — this evaluator stacks all
+// agents' rows once at construction and exposes
 //
 //   * evaluate_all():  one stacked residual pass  r = R x - b  followed by
 //     per-agent transposed products — a single matrix op over the whole
 //     population; and
-//   * evaluate_agent(): one agent against caller-owned workspaces, for the
-//     trainers' parallel fan-out (each agent writes only its own slots, so
-//     the loop is allocation-free after warm-up and bit-identical at any
-//     lane count).
+//   * evaluate_agent(): one agent against caller-owned workspaces, for a
+//     parallel fan-out (each agent writes only its own slots, so the loop
+//     is allocation-free after warm-up and bit-identical at any lane
+//     count).
+//
+// The stacked copy is the price: the DGD trainer and the scenario round
+// evaluate each agent in place through CostFunction::gradient_into
+// instead, and train_async is the library's remaining user.
 //
 // Bit-identity contract: both entry points produce exactly the bytes of
 // LeastSquaresCost::gradient(x) for every agent — the same kernels run
@@ -36,12 +37,10 @@ class BatchGradientEvaluator {
   static std::unique_ptr<BatchGradientEvaluator> try_create(const std::vector<CostPtr>& costs);
 
   /// Builds one evaluator over several same-dimension populations
-  /// stacked along a new batching axis — the serving scheduler stacks
-  /// concurrent jobs' agents into one machine this way.  Group g's
-  /// agents occupy global indices [group_offset(g), group_offset(g+1));
-  /// every per-agent entry point takes those global indices.  Returns
-  /// nullptr when any cost is not a LeastSquaresCost or dimensions
-  /// differ across groups.
+  /// stacked along a new batching axis.  Group g's agents occupy global
+  /// indices [group_offset(g), group_offset(g+1)); every per-agent entry
+  /// point takes those global indices.  Returns nullptr when any cost is
+  /// not a LeastSquaresCost or dimensions differ across groups.
   static std::unique_ptr<BatchGradientEvaluator> try_create_grouped(
       const std::vector<std::vector<CostPtr>>& groups);
 
@@ -73,14 +72,6 @@ class BatchGradientEvaluator {
   /// is caller-owned scratch (resized to the agent's row count).  Safe to
   /// call concurrently for distinct agents with distinct workspaces.
   void evaluate_agent(std::size_t i, const Vector& x, Vector& residual_ws, Vector& out) const;
-
-  /// Gradients of every group's agents, each group at its own iterate
-  /// xs[g], in one stacked residual pass over all groups' rows.
-  /// out[g] is resized to group_agents(g) vectors of dimension d.
-  /// Bit-identical to evaluate_all() run per group (the stacked matvec
-  /// is row-independent, so batching across groups changes nothing).
-  /// Not thread-safe (shares the evaluate_all workspace).
-  void evaluate_groups(const std::vector<Vector>& xs, std::vector<std::vector<Vector>>& out);
 
  private:
   BatchGradientEvaluator() = default;

@@ -35,6 +35,15 @@ class CostFunction {
   /// The gradient (nabla Q)(x).  Requires x.size() == dimension().
   virtual Vector gradient(const Vector& x) const = 0;
 
+  /// Writes gradient(x) into @p out, bit for bit.  @p scratch is the
+  /// caller's working memory; the cost may resize and overwrite it.  A
+  /// caller that keeps @p out and @p scratch across calls stops
+  /// allocating once both reach their steady sizes.  The default copies
+  /// gradient(x) in.
+  virtual void gradient_into(const Vector& x, Vector& out, Vector& /*scratch*/) const {
+    out = gradient(x);
+  }
+
   /// Hessian at x, if the cost exposes one analytically.
   virtual std::optional<Matrix> hessian(const Vector& /*x*/) const { return std::nullopt; }
 

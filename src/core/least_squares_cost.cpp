@@ -1,5 +1,6 @@
 #include "core/least_squares_cost.h"
 
+#include "linalg/kernels.h"
 #include "util/error.h"
 
 namespace redopt::core {
@@ -22,9 +23,24 @@ double LeastSquaresCost::value(const Vector& x) const {
 }
 
 Vector LeastSquaresCost::gradient(const Vector& x) const {
+  Vector out;
+  Vector residual;
+  gradient_into(x, out, residual);
+  return out;
+}
+
+void LeastSquaresCost::gradient_into(const Vector& x, Vector& out, Vector& scratch) const {
   REDOPT_REQUIRE(x.size() == dimension(), "least-squares gradient dimension mismatch");
-  const Vector r = linalg::matvec(a_, x) - b_;
-  return linalg::matvec_transposed(a_, r) * 2.0;
+  const std::size_t rows = a_.rows();
+  const std::size_t d = a_.cols();
+  if (scratch.size() != rows) scratch = Vector(rows);
+  if (out.size() != d) out = Vector(d);
+  double* r = scratch.data().data();
+  linalg::kernels::matvec(a_.data().data(), rows, d, x.data().data(), r);
+  linalg::kernels::sub(r, b_.data().data(), rows);
+  double* g = out.data().data();
+  linalg::kernels::matvec_transposed(a_.data().data(), rows, d, r, g);
+  linalg::kernels::scale(g, 2.0, d);
 }
 
 std::optional<Matrix> LeastSquaresCost::hessian(const Vector&) const {

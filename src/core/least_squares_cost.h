@@ -23,6 +23,8 @@ class LeastSquaresCost final : public CostFunction {
   std::size_t dimension() const override { return a_.cols(); }
   double value(const Vector& x) const override;
   Vector gradient(const Vector& x) const override;
+  /// r = A x - b in @p scratch, then 2 A^T r in @p out.
+  void gradient_into(const Vector& x, Vector& out, Vector& scratch) const override;
   std::optional<Matrix> hessian(const Vector& x) const override;
   std::unique_ptr<CostFunction> clone() const override;
   std::string describe() const override;

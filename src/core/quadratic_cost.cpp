@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/kernels.h"
 #include "util/error.h"
 
 namespace redopt::core {
@@ -31,8 +32,18 @@ double QuadraticCost::value(const Vector& x) const {
 }
 
 Vector QuadraticCost::gradient(const Vector& x) const {
+  Vector out;
+  Vector unused;
+  gradient_into(x, out, unused);
+  return out;
+}
+
+void QuadraticCost::gradient_into(const Vector& x, Vector& out, Vector& /*scratch*/) const {
   REDOPT_REQUIRE(x.size() == dimension(), "quadratic gradient dimension mismatch");
-  return linalg::matvec(p_, x) + q_;
+  const std::size_t d = q_.size();
+  if (out.size() != d) out = Vector(d);
+  linalg::kernels::matvec(p_.data().data(), d, d, x.data().data(), out.data().data());
+  linalg::kernels::add(out.data().data(), q_.data().data(), d);
 }
 
 std::optional<Matrix> QuadraticCost::hessian(const Vector&) const { return p_; }

@@ -23,6 +23,8 @@ class QuadraticCost final : public CostFunction {
   std::size_t dimension() const override { return q_.size(); }
   double value(const Vector& x) const override;
   Vector gradient(const Vector& x) const override;
+  /// P x + q in @p out; @p scratch is unused.
+  void gradient_into(const Vector& x, Vector& out, Vector& scratch) const override;
   std::optional<Matrix> hessian(const Vector& x) const override;
   std::unique_ptr<CostFunction> clone() const override;
   std::string describe() const override;

@@ -109,12 +109,30 @@ BlockRegressionInstance make_orthonormal_regression(std::size_t n, std::size_t d
     }
     Vector b = linalg::matvec(a, x_star);
     for (auto& c : b) c += rng.gaussian(0.0, noise_sigma);
-    inst.problem.costs.push_back(std::make_shared<core::LeastSquaresCost>(a, b));
-    inst.blocks.push_back(std::move(a));
-    inst.observations.push_back(std::move(b));
+    inst.problem.costs.push_back(
+        std::make_shared<core::LeastSquaresCost>(std::move(a), std::move(b)));
   }
   inst.problem.validate();
   return inst;
+}
+
+namespace {
+
+const core::LeastSquaresCost& block_cost(const BlockRegressionInstance& instance, std::size_t i) {
+  REDOPT_REQUIRE(i < instance.problem.costs.size(), "agent id out of range");
+  const auto* cost = dynamic_cast<const core::LeastSquaresCost*>(instance.problem.costs[i].get());
+  REDOPT_REQUIRE(cost != nullptr, "block regression agent without a least-squares cost");
+  return *cost;
+}
+
+}  // namespace
+
+const Matrix& BlockRegressionInstance::block(std::size_t i) const {
+  return block_cost(*this, i).a();
+}
+
+const Vector& BlockRegressionInstance::observation(std::size_t i) const {
+  return block_cost(*this, i).b();
 }
 
 Vector block_regression_argmin(const BlockRegressionInstance& instance,
@@ -125,10 +143,11 @@ Vector block_regression_argmin(const BlockRegressionInstance& instance,
   Vector b(honest.size() * d);
   std::size_t r = 0;
   for (std::size_t id : honest) {
-    REDOPT_REQUIRE(id < instance.blocks.size(), "agent id out of range");
+    const Matrix& block = instance.block(id);
+    const Vector& observation = instance.observation(id);
     for (std::size_t br = 0; br < d; ++br, ++r) {
-      for (std::size_t c = 0; c < d; ++c) stacked(r, c) = instance.blocks[id](br, c);
-      b[r] = instance.observations[id][br];
+      for (std::size_t c = 0; c < d; ++c) stacked(r, c) = block(br, c);
+      b[r] = observation[br];
     }
   }
   return linalg::QrDecomposition(stacked).solve_least_squares(b);

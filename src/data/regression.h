@@ -69,10 +69,13 @@ Vector regression_argmin(const RegressionInstance& instance,
 /// see EXPERIMENTS.md — so this family is what the bound-checking tests
 /// and the epsilon-sweep bench run on.
 struct BlockRegressionInstance {
-  core::MultiAgentProblem problem;   ///< agent i holds ||A_i x - b_i||^2
-  std::vector<Matrix> blocks;        ///< per-agent d x d orthonormal A_i
-  std::vector<Vector> observations;  ///< per-agent b_i = A_i x* + noise
-  Vector x_star;                     ///< ground-truth parameter
+  core::MultiAgentProblem problem;  ///< agent i holds ||A_i x - b_i||^2
+  Vector x_star;                    ///< ground-truth parameter
+
+  /// Agent i's d x d orthonormal A_i and its b_i = A_i x* + noise, read
+  /// from its LeastSquaresCost: the instance holds one copy of each.
+  const Matrix& block(std::size_t i) const;
+  const Vector& observation(std::size_t i) const;
 };
 
 /// Draws the orthonormal-block instance (Gram-Schmidt on Gaussian draws).

@@ -19,10 +19,14 @@ BoxProjection BoxProjection::cube(std::size_t d, double half_width) {
 }
 
 Vector BoxProjection::project(const Vector& x) const {
-  REDOPT_REQUIRE(x.size() == lo_.size(), "box projection dimension mismatch");
-  Vector out(x.size());
-  for (std::size_t k = 0; k < x.size(); ++k) out[k] = std::clamp(x[k], lo_[k], hi_[k]);
+  Vector out = x;
+  project_in_place(out);
   return out;
+}
+
+void BoxProjection::project_in_place(Vector& x) const {
+  REDOPT_REQUIRE(x.size() == lo_.size(), "box projection dimension mismatch");
+  for (std::size_t k = 0; k < x.size(); ++k) x[k] = std::clamp(x[k], lo_[k], hi_[k]);
 }
 
 bool BoxProjection::contains(const Vector& x, double tol) const {

@@ -24,6 +24,10 @@ class ProjectionSet {
   /// argmin_{y in W} ||x - y||  (unique for convex W).
   virtual Vector project(const Vector& x) const = 0;
 
+  /// Replaces @p x by project(x), bit for bit.  The box and the identity
+  /// work in place; the default assigns project(x).
+  virtual void project_in_place(Vector& x) const { x = project(x); }
+
   /// Membership test with absolute tolerance.
   virtual bool contains(const Vector& x, double tol = 1e-12) const = 0;
 
@@ -37,6 +41,7 @@ using ProjectionPtr = std::shared_ptr<const ProjectionSet>;
 class IdentityProjection final : public ProjectionSet {
  public:
   Vector project(const Vector& x) const override { return x; }
+  void project_in_place(Vector& /*x*/) const override {}
   bool contains(const Vector&, double) const override { return true; }
   std::string name() const override { return "identity"; }
 };
@@ -51,6 +56,7 @@ class BoxProjection final : public ProjectionSet {
   static BoxProjection cube(std::size_t d, double half_width);
 
   Vector project(const Vector& x) const override;
+  void project_in_place(Vector& x) const override;
   bool contains(const Vector& x, double tol) const override;
   std::string name() const override { return "box"; }
 

@@ -68,14 +68,11 @@ OnlineTrainer::OnlineTrainer(const core::MultiAgentProblem& problem,
   active_.assign(n, true);
   n_active_ = n;
   f_active_ = problem_.f;
-  // Batched gradient fast path for all-least-squares populations: stacks
-  // every agent's rows once so the per-round fan-out reuses workspaces
-  // (bit-identical to the virtual gradient() — see core/batch_gradient.h).
-  batch_gradients_ = core::BatchGradientEvaluator::try_create(problem_.costs);
-  if (batch_gradients_ != nullptr) residual_ws_.resize(n);
+  scratch_.resize(n);
   responders_.reserve(n);
   honest_gradients_.reserve(honest_.size());
   gradients_.reserve(n);
+  view_.reserve(n);
   filter_ = config_.filter;
   // The instrumentation shim re-derives each call's accept set, which for
   // selection filters repeats the selection work — only pay for it when
@@ -94,7 +91,7 @@ double OnlineTrainer::honest_loss() const {
   return core::subset_value(problem_.costs, honest_, x_);
 }
 
-linalg::Vector OnlineTrainer::step() {
+const linalg::Vector& OnlineTrainer::step() {
   const std::size_t n = problem_.num_agents();
   const std::size_t d = problem_.dimension();
   const std::size_t t = iteration_;
@@ -112,13 +109,9 @@ linalg::Vector OnlineTrainer::step() {
     if (active_[i] && !is_byzantine_[i]) responders_.push_back(i);
   }
   honest_gradients_.resize(responders_.size());
-  runtime::parallel_for(0, responders_.size(), [&](std::size_t j) {
+  runtime::parallel_for(0, responders_.size(), [this](std::size_t j) {
     const std::size_t i = responders_[j];
-    if (batch_gradients_ != nullptr) {
-      batch_gradients_->evaluate_agent(i, x_, residual_ws_[i], honest_gradients_[j]);
-    } else {
-      honest_gradients_[j] = problem_.costs[i]->gradient(x_);
-    }
+    problem_.costs[i]->gradient_into(x_, honest_gradients_[j], scratch_[i]);
   });
 
   // Byzantine replies: first decide who responds at all, then craft.
@@ -126,11 +119,7 @@ linalg::Vector OnlineTrainer::step() {
   std::uint64_t eliminated_round_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!active_[i] || !is_byzantine_[i]) continue;
-    if (batch_gradients_ != nullptr) {
-      batch_gradients_->evaluate_agent(i, x_, residual_ws_[i], byz_gradient_ws_);
-    } else {
-      byz_gradient_ws_ = problem_.costs[i]->gradient(x_);
-    }
+    problem_.costs[i]->gradient_into(x_, byz_gradient_ws_, scratch_[i]);
     attacks::AttackContext ctx;
     ctx.iteration = t;
     ctx.agent_id = i;
@@ -176,11 +165,7 @@ linalg::Vector OnlineTrainer::step() {
       gradients_[slot++] = honest_gradients_[honest_index++];
       continue;
     }
-    if (batch_gradients_ != nullptr) {
-      batch_gradients_->evaluate_agent(i, x_, residual_ws_[i], byz_gradient_ws_);
-    } else {
-      byz_gradient_ws_ = problem_.costs[i]->gradient(x_);
-    }
+    problem_.costs[i]->gradient_into(x_, byz_gradient_ws_, scratch_[i]);
     attacks::AttackContext ctx;
     ctx.iteration = t;
     ctx.agent_id = i;
@@ -190,25 +175,29 @@ linalg::Vector OnlineTrainer::step() {
     ctx.honest_gradient = &byz_gradient_ws_;
     ctx.honest_gradients = &honest_gradients_;
     ctx.rng = &agent_rngs_[i];
-    gradients_[slot] = attack_->craft(ctx);
+    attack_->craft_into(ctx, gradients_[slot]);
     REDOPT_REQUIRE(gradients_[slot].size() == d, "attack crafted a wrong-dimension vector");
     ++slot;
   }
 
-  // S2: filter and projected update.  The round cache shares norms and
-  // pairwise distances between the telemetry shim and the filter itself.
-  round_cache_.reset(gradients_);
-  linalg::Vector direction = filter_->apply_with_cache(gradients_, round_cache_);
-  const linalg::Vector previous = x_;
-  x_ = config_.projection->project(x_ - direction * config_.schedule->step(t));
+  // S2: filter and projected update, x <- Proj(x - eta_t * direction),
+  // all in the round buffers.
+  view_.clear();
+  for (const linalg::Vector& g : gradients_) view_.push_back(&g);
+  filter_->apply_into(view_, direction_, filter_scratch_);
+  previous_ = x_;
+  scaled_step_ = direction_;
+  scaled_step_ *= config_.schedule->step(t);
+  x_ -= scaled_step_;
+  config_.projection->project_in_place(x_);
   ++iteration_;
 
   metric_iterations_.inc();
   if (eliminated_this_round) {
     metric_eliminations_.inc(eliminated_round_count);
   }
-  const double direction_norm = direction.norm();
-  const double step_norm = linalg::distance(x_, previous);
+  const double direction_norm = direction_.norm();
+  const double step_norm = linalg::distance(x_, previous_);
   metric_direction_norm_.observe(direction_norm);
   metric_step_norm_.observe(step_norm);
   if (telemetry::tracing_enabled()) {
@@ -219,7 +208,7 @@ linalg::Vector OnlineTrainer::step() {
                         .with("step_norm", step_norm)
                         .with("eliminated", static_cast<std::int64_t>(eliminated_round_count)));
   }
-  return direction;
+  return direction_;
 }
 
 void OnlineTrainer::run(std::size_t steps) {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "attacks/attack.h"
-#include "core/batch_gradient.h"
 #include "core/problem.h"
 #include "dgd/projection.h"
 #include "dgd/schedule.h"
@@ -84,8 +83,10 @@ class OnlineTrainer {
                 const attacks::Attack* attack, TrainerConfig config);
 
   /// Executes one iteration; returns the filtered direction that was
-  /// applied (before the step-size scaling and projection).
-  linalg::Vector step();
+  /// applied (before the step-size scaling and projection), valid until
+  /// the next step().  A steady-state step allocates nothing with CGE,
+  /// CWTM or Krum while telemetry is off.
+  const linalg::Vector& step();
 
   /// Runs @p steps iterations.
   void run(std::size_t steps);
@@ -120,20 +121,19 @@ class OnlineTrainer {
   std::size_t f_active_;
   filters::FilterPtr filter_;
   std::vector<std::size_t> eliminated_agents_;
-  // Reused across rounds (reset per round) so steady-state iterations stop
-  // allocating norm/distance scratch.
-  filters::NormCache round_cache_;
 
-  // Batched least-squares gradient path; nullptr when any cost is not a
-  // LeastSquaresCost, in which case step() uses the virtual gradient().
-  std::unique_ptr<core::BatchGradientEvaluator> batch_gradients_;
-  // Round buffers reused across step() calls.  Slots are overwritten by
-  // copy-assignment each round, so the steady state allocates nothing.
+  // Round buffers reused across step() calls.  Slots are overwritten in
+  // place each round, so the steady state allocates nothing.
   std::vector<std::size_t> responders_;
   std::vector<linalg::Vector> honest_gradients_;
   std::vector<linalg::Vector> gradients_;
-  std::vector<linalg::Vector> residual_ws_;  ///< per-agent evaluate_agent scratch
-  linalg::Vector byz_gradient_ws_;           ///< true-gradient scratch (serial loops)
+  std::vector<linalg::Vector> scratch_;  ///< per-agent gradient_into scratch
+  linalg::Vector byz_gradient_ws_;       ///< true-gradient scratch (serial loops)
+  std::vector<const linalg::Vector*> view_;  ///< the filter's inputs: gradients_
+  filters::FilterScratch filter_scratch_;
+  linalg::Vector direction_;
+  linalg::Vector scaled_step_;  ///< eta_t * direction_
+  linalg::Vector previous_;     ///< x^t, for the step-norm metric
 
   // Telemetry handles (registered at construction — serial context — so
   // step() only performs record operations).

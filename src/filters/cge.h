@@ -20,6 +20,7 @@ class CgeFilter final : public GradientFilter {
   CgeFilter(std::size_t n, std::size_t f, bool normalize = false);
 
   Vector apply(const std::vector<Vector>& gradients) const override;
+  void apply_into(GradientView gradients, Vector& out, FilterScratch& scratch) const override;
   Vector apply_with_cache(const std::vector<Vector>& gradients, NormCache& cache) const override;
   std::string name() const override { return normalize_ ? "cge_avg" : "cge"; }
   std::size_t expected_inputs() const override { return n_; }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,14 @@ using linalg::Vector;
 
 class NormCache;
 
+/// The gradients of one aggregation, read through pointers in input
+/// order, so a caller can aggregate payloads where they lie.
+using GradientView = std::span<const Vector* const>;
+
+/// Working memory of apply_into(), owned by the caller (defined in
+/// filters/norm_cache.h).
+struct FilterScratch;
+
 /// Robust aggregation of n agent gradients into one descent direction.
 class GradientFilter {
  public:
@@ -35,6 +44,13 @@ class GradientFilter {
   /// The expected count is fixed at construction; passing a different
   /// number of gradients throws PreconditionError.
   virtual Vector apply(const std::vector<Vector>& gradients) const = 0;
+
+  /// Writes apply() of the pointed-to gradients into @p out, bit for bit.
+  /// CGE, CWTM and Krum override it, copy no input and allocate nothing
+  /// once @p out and @p scratch reach their sizes.  The default copies the
+  /// inputs into @p scratch and runs apply_with_cache() on them with the
+  /// scratch's NormCache, reusing both buffers from call to call.
+  virtual void apply_into(GradientView gradients, Vector& out, FilterScratch& scratch) const;
 
   /// Same as apply(), reading shared per-round quantities (norms, pairwise
   /// distances) from @p cache instead of recomputing them.  The cache must
@@ -68,6 +84,10 @@ namespace detail {
 
 /// Shared validation for all filters.
 void check_inputs(const std::vector<Vector>& gradients, std::size_t expected_n, const char* who);
+void check_inputs(GradientView gradients, std::size_t expected_n, const char* who);
+
+/// Pointers to each of @p gradients, in order.
+std::vector<const Vector*> view_of(const std::vector<Vector>& gradients);
 
 }  // namespace detail
 }  // namespace redopt::filters

@@ -9,24 +9,27 @@
 
 namespace redopt::filters {
 
+namespace {
+
 /// Krum score of each still-active gradient: sum of its n_active - f - 2
 /// smallest squared distances to other active gradients.  Distances are
 /// read from the caller-provided flat n x n matrix @p dist2, so iterative
 /// callers (Multi-Krum, Bulyan) pay for the O(n^2 d) distance pass once
-/// rather than once per selection round.
-std::size_t krum_select_cached(const std::vector<Vector>& gradients,
-                               const std::vector<bool>& active, std::size_t f,
-                               const std::vector<double>& dist2) {
+/// rather than once per selection round.  A null @p active means every
+/// gradient is active; @p dists is the caller's scratch.
+std::size_t select_by_score(GradientView gradients, const std::vector<bool>* active, std::size_t f,
+                            const std::vector<double>& dist2, std::vector<double>& dists) {
   const std::size_t n = gradients.size();
   REDOPT_REQUIRE(dist2.size() == n * n, "krum selection: distance matrix shape mismatch");
+  const auto is_active = [&](std::size_t i) { return active == nullptr || (*active)[i]; };
   std::size_t n_active = 0;
-  for (bool a : active) n_active += a ? 1 : 0;
+  for (std::size_t i = 0; i < n; ++i) n_active += is_active(i) ? 1 : 0;
   REDOPT_REQUIRE(n_active >= 1, "krum selection requires at least 1 active gradient");
   if (n_active == 1) {
     // Degenerate pool (Bulyan's final selection rounds at f = 0): the only
     // remaining gradient is the selection.
     for (std::size_t i = 0; i < n; ++i) {
-      if (active[i]) return i;
+      if (is_active(i)) return i;
     }
   }
   // Bulyan's iterative selection legitimately shrinks the pool below
@@ -37,20 +40,19 @@ std::size_t krum_select_cached(const std::vector<Vector>& gradients,
 
   double best_score = std::numeric_limits<double>::infinity();
   std::size_t best = n;  // sentinel
-  std::vector<double> dists;
   // Exact score ties are possible (two mutually-nearest gradients with
   // neighbourhood size 1 share the score d(i,j)^2), so ties are broken by
   // the gradients' values, keeping selection independent of input order
   // (permutation invariance).
   auto lex_less = [&](std::size_t a, std::size_t b) {
-    return gradients[a].data() < gradients[b].data();
+    return gradients[a]->data() < gradients[b]->data();
   };
   for (std::size_t i = 0; i < n; ++i) {
-    if (!active[i]) continue;
+    if (!is_active(i)) continue;
     dists.clear();
     const double* row = dist2.data() + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || !active[j]) continue;
+      if (j == i || !is_active(j)) continue;
       dists.push_back(row[j]);
     }
     std::nth_element(dists.begin(), dists.begin() + static_cast<std::ptrdiff_t>(neighbourhood - 1),
@@ -67,6 +69,15 @@ std::size_t krum_select_cached(const std::vector<Vector>& gradients,
   }
   REDOPT_ASSERT(best < n, "krum selected no gradient");
   return best;
+}
+
+}  // namespace
+
+std::size_t krum_select_cached(const std::vector<Vector>& gradients,
+                               const std::vector<bool>& active, std::size_t f,
+                               const std::vector<double>& dist2) {
+  std::vector<double> dists;
+  return select_by_score(detail::view_of(gradients), &active, f, dist2, dists);
 }
 
 std::vector<std::size_t> krum_select_iterative(const std::vector<Vector>& gradients,
@@ -154,7 +165,16 @@ std::size_t KrumFilter::select(const std::vector<Vector>& gradients) const {
 }
 
 Vector KrumFilter::apply(const std::vector<Vector>& gradients) const {
-  return gradients[select(gradients)];
+  Vector out;
+  FilterScratch scratch;
+  apply_into(detail::view_of(gradients), out, scratch);
+  return out;
+}
+
+void KrumFilter::apply_into(GradientView gradients, Vector& out, FilterScratch& scratch) const {
+  detail::check_inputs(gradients, n_, "krum");
+  pairwise_distances_squared(gradients, scratch.values);
+  out = *gradients[select_by_score(gradients, nullptr, f_, scratch.values, scratch.neighbours)];
 }
 
 Vector KrumFilter::apply_with_cache(const std::vector<Vector>& gradients,

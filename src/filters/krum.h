@@ -45,6 +45,7 @@ class KrumFilter final : public GradientFilter {
   KrumFilter(std::size_t n, std::size_t f);
 
   Vector apply(const std::vector<Vector>& gradients) const override;
+  void apply_into(GradientView gradients, Vector& out, FilterScratch& scratch) const override;
   Vector apply_with_cache(const std::vector<Vector>& gradients, NormCache& cache) const override;
   std::string name() const override { return "krum"; }
   std::size_t expected_inputs() const override { return n_; }

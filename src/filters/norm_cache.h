@@ -4,8 +4,9 @@
 // norms, Krum/Multi-Krum/Bulyan need the n x n pairwise squared distances —
 // and the telemetry shim (filters/instrumented.h) additionally runs both
 // accepted_inputs() and apply() on every round, doubling the work.  A
-// NormCache is created once per aggregation round (by the trainer or the
-// shim), handed to apply_with_cache() / accepted_inputs_with_cache(), and
+// NormCache is bound once per aggregation round (by the shim, or by the
+// default GradientFilter::apply_into() to the copies in its FilterScratch),
+// handed to apply_with_cache() / accepted_inputs_with_cache(), and
 // computes each derived quantity lazily, at most once per round.
 //
 // Determinism: every cached quantity is computed with exactly the loops the
@@ -15,13 +16,14 @@
 //
 // Lifetime: the cache borrows the gradient vector it was bound to.  It must
 // not outlive the gradients, and reset() must be called whenever the
-// gradients change (the trainer reuses one cache across rounds to keep the
-// hot loop allocation-free after warm-up).
+// gradients change (a FilterScratch reused across rounds keeps its cache's
+// buffers, so the cache stops allocating after warm-up).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "filters/gradient_filter.h"
 #include "linalg/vector.h"
 
 namespace redopt::filters {
@@ -67,10 +69,27 @@ class NormCache {
   bool dist2_ready_ = false;
 };
 
+/// Working memory of GradientFilter::apply_into(), owned by the caller.
+/// A filter resizes the buffers it uses and keeps their capacity, so a
+/// caller that reuses one scratch across rounds stops allocating once the
+/// sizes settle.
+struct FilterScratch {
+  std::vector<double> values;      ///< norms (CGE), columns (CWTM), distances (Krum)
+  std::vector<double> neighbours;  ///< Krum: one candidate's distances
+  std::vector<std::size_t> order;  ///< CGE: the norm ranking
+  std::vector<Vector> inputs;      ///< the default apply_into: copies of the inputs
+  NormCache cache;                 ///< the default apply_into: bound to inputs
+};
+
 /// Gathers the gradients into a column-major d x n buffer (out[k * n + i] =
 /// gradients[i][k]) with cache-friendly tiling.  Coordinate-wise filters
 /// (CWTM, CWMed, Bulyan stage 2) read columns sequentially afterwards
 /// instead of striding across n separate heap buffers per coordinate.
 void gather_columns(const std::vector<Vector>& gradients, std::vector<double>& out);
+void gather_columns(GradientView gradients, std::vector<double>& out);
+
+/// NormCache::pairwise_distances_squared() of @p gradients, written into
+/// @p out (same loops, same bits).
+void pairwise_distances_squared(GradientView gradients, std::vector<double>& out);
 
 }  // namespace redopt::filters

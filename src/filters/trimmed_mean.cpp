@@ -14,20 +14,26 @@ CwtmFilter::CwtmFilter(std::size_t n, std::size_t f) : n_(n), f_(f) {
 }
 
 Vector CwtmFilter::apply(const std::vector<Vector>& gradients) const {
+  Vector out;
+  FilterScratch scratch;
+  apply_into(detail::view_of(gradients), out, scratch);
+  return out;
+}
+
+void CwtmFilter::apply_into(GradientView gradients, Vector& out, FilterScratch& scratch) const {
   detail::check_inputs(gradients, n_, "cwtm");
-  const std::size_t d = gradients.front().size();
-  Vector out(d);
+  const std::size_t d = gradients.front()->size();
+  if (out.size() != d) out = Vector(d);
   // One tiled gather into a column-major scratch, then each coordinate's
   // column is read (and sorted) contiguously.  The naive per-coordinate
   // gather strides across n heap buffers and thrashes the cache at large d.
-  std::vector<double> columns;
+  std::vector<double>& columns = scratch.values;
   gather_columns(gradients, columns);
   for (std::size_t k = 0; k < d; ++k) {
     double* column = columns.data() + k * n_;
     std::sort(column, column + n_);
     out[k] = linalg::kernels::sum(column + f_, n_ - 2 * f_) / static_cast<double>(n_ - 2 * f_);
   }
-  return out;
 }
 
 std::vector<std::size_t> CwtmFilter::accepted_inputs(const std::vector<Vector>& gradients) const {

@@ -19,6 +19,7 @@ class CwtmFilter final : public GradientFilter {
   CwtmFilter(std::size_t n, std::size_t f);
 
   Vector apply(const std::vector<Vector>& gradients) const override;
+  void apply_into(GradientView gradients, Vector& out, FilterScratch& scratch) const override;
   std::string name() const override { return "cwtm"; }
   std::size_t expected_inputs() const override { return n_; }
 

@@ -14,7 +14,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t hash_label(const std::string& label) {
+std::uint64_t hash_label(std::string_view label) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : label) {
     h ^= c;
@@ -143,7 +143,7 @@ std::vector<std::size_t> Rng::subset(std::size_t n, std::size_t k) {
   return chosen;
 }
 
-Rng Rng::fork(const std::string& label) const {
+Rng Rng::fork(std::string_view label) const {
   std::uint64_t mix = seed_ ^ hash_label(label);
   // One extra SplitMix64 round decorrelates labels that differ in few bits.
   return Rng(splitmix64(mix));

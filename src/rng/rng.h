@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace redopt::rng {
@@ -21,7 +22,7 @@ namespace redopt::rng {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// 64-bit FNV-1a hash of a string label (for named stream forking).
-std::uint64_t hash_label(const std::string& label);
+std::uint64_t hash_label(std::string_view label);
 
 /// xoshiro256** generator with deterministic samplers.
 class Rng {
@@ -61,7 +62,7 @@ class Rng {
 
   /// Independent generator derived from this seed and @p label.
   /// Forking does not advance this generator's sequence.
-  Rng fork(const std::string& label) const;
+  Rng fork(std::string_view label) const;
 
  private:
   std::uint64_t s_[4];

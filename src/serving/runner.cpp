@@ -34,8 +34,10 @@ JobCheckpoint make_initial_checkpoint(const JobSpec& spec,
   return ck;
 }
 
-std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, const SliceContext& ctx) {
-  REDOPT_REQUIRE(ctx.built != nullptr, "runner: slice context missing the materialized scenario");
+std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, chaos::RoundKernel& kernel) {
+  REDOPT_REQUIRE(ck.state.x.size() == kernel.scenario().d &&
+                     ck.spec.scenario.seed == kernel.scenario().seed,
+                 "runner: the kernel was built for another scenario");
   if (ck.finished() || max_rounds == 0) return 0;
 
   auto& reg = telemetry::registry();
@@ -46,10 +48,6 @@ std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, const Slice
   slice_span.attr("job", ck.spec.job_id)
       .attr("from", static_cast<std::uint64_t>(ck.state.next_round));
 
-  chaos::KernelOptions options;
-  options.evaluator = ctx.evaluator;
-  options.agent_base = ctx.agent_base;
-  chaos::RoundKernel kernel(ck.spec.scenario, *ctx.built, options);
   std::size_t ran = 0;
   while (ran < max_rounds && !ck.finished()) {
     kernel.step(ck.state);

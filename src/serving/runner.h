@@ -9,42 +9,28 @@
 // uninterrupted run and to chaos::run_scenario on every scenario
 // (AllDrivers in tests/test_chaos.cpp pins both).
 //
-// When the scheduler supplies a (possibly cross-job)
-// core::BatchGradientEvaluator the kernel routes per-agent evaluation
-// through it, bit-identical to the virtual cost path by the evaluator's
-// contract.
+// The caller keeps one chaos::RoundKernel per job across slices (the
+// scheduler does), so a slice rebuilds no filter, attack or round buffer;
+// each agent evaluates through its own cost, in place.
 #pragma once
 
 #include <cstddef>
 
 #include "chaos/executor.h"
-#include "core/batch_gradient.h"
+#include "chaos/round.h"
 #include "serving/checkpoint.h"
 
 namespace redopt::serving {
-
-/// Per-slice execution context the scheduler owns across slices.
-struct SliceContext {
-  /// The materialized instance (pure function of the scenario; the
-  /// scheduler caches it per job so slices do not re-generate data).
-  const chaos::MaterializedScenario* built = nullptr;
-
-  /// Optional batched gradient path.  When set, agent i of this job
-  /// evaluates through evaluator->evaluate_agent(agent_base + i, ...)
-  /// — the scheduler stacks same-dimension populations across jobs
-  /// into one evaluator (the cross-job batching axis).
-  const core::BatchGradientEvaluator* evaluator = nullptr;
-  std::size_t agent_base = 0;
-};
 
 /// The round-0 state of a job (chaos::initial_round_state).
 JobCheckpoint make_initial_checkpoint(const JobSpec& spec,
                                       const chaos::MaterializedScenario& built);
 
-/// Runs up to @p max_rounds rounds from @p ck, mutating it in place.
-/// Returns the number of rounds actually run (0 when already finished).
-/// Caller checks ck.finished() for completion.
-std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, const SliceContext& ctx);
+/// Runs up to @p max_rounds rounds from @p ck through @p kernel (built
+/// for ck.spec.scenario), mutating ck in place.  Returns the number of
+/// rounds actually run (0 when already finished).  Caller checks
+/// ck.finished() for completion.
+std::size_t run_job_slice(JobCheckpoint& ck, std::size_t max_rounds, chaos::RoundKernel& kernel);
 
 /// The final job manifest: spec, rounds, result block (distances,
 /// estimate, fault counters) and a telemetry section built by shipping

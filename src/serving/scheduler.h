@@ -15,12 +15,9 @@
 //   * unique job_id   — resubmitting a live or finished id is rejected,
 //   * spec validity   — JobSpec::validate() (elastic scenarios rejected).
 //
-// Cross-job batching: whenever the live-job set changes, the scheduler
-// restacks every compatible job's least-squares population into one
-// core::BatchGradientEvaluator along the group axis (submission order);
-// compatible jobs' slices evaluate through it, the rest fall back to
-// the virtual cost path.  Both paths are bit-identical per the
-// evaluator's contract.
+// Each live job owns its materialized instance and one chaos::RoundKernel
+// kept across slices; a slice reads only its own job's data, so admitting
+// or finishing a job never touches another job's rows.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +28,7 @@
 #include <vector>
 
 #include "chaos/executor.h"
-#include "core/batch_gradient.h"
+#include "chaos/round.h"
 #include "serving/checkpoint.h"
 #include "serving/runner.h"
 
@@ -98,28 +95,26 @@ class Scheduler {
   /// kept.  Throws redopt::PreconditionError unless the job is done.
   void release(const std::string& job_id);
 
-  /// Test / bench hook: the current cross-job evaluator (nullptr when
-  /// fewer than one compatible live job exists).
-  const core::BatchGradientEvaluator* group_evaluator() const { return evaluator_.get(); }
 
  private:
+  /// Heap-held so the kernel's references to spec and built survive the
+  /// table's growth.
   struct Entry {
     JobSpec spec;
     JobCheckpoint checkpoint;
     JobState state = JobState::kQueued;
-    std::shared_ptr<chaos::MaterializedScenario> built;  ///< null once released
-    bool in_group = false;        ///< evaluates through the stacked evaluator
-    std::size_t agent_base = 0;   ///< first global index within the evaluator
+    std::unique_ptr<chaos::MaterializedScenario> built;  ///< null once released
+    std::unique_ptr<chaos::RoundKernel> kernel;  ///< over spec and built; null once done
   };
 
   Entry* find(const std::string& job_id);
   const Entry* find(const std::string& job_id) const;
-  void restack();
+  /// Appends @p entry, building its kernel while the job has rounds left.
+  void add(std::unique_ptr<Entry> entry);
 
   SchedulerOptions options_;
-  std::vector<Entry> jobs_;   ///< submission order; finished entries stay
-  std::size_t next_ = 0;      ///< round-robin cursor into jobs_
-  std::unique_ptr<core::BatchGradientEvaluator> evaluator_;
+  std::vector<std::unique_ptr<Entry>> jobs_;  ///< submission order; finished entries stay
+  std::size_t next_ = 0;                      ///< round-robin cursor into jobs_
 };
 
 }  // namespace redopt::serving

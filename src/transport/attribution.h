@@ -69,8 +69,9 @@ struct LinkAttribution {
 
 /// The reconciled report.  ok() is the acceptance gate: per-agent and
 /// per-link totals equal the TransportStats exactly, the replayed fates
-/// equal the session's fault counters, and every shipped island agrees
-/// with its replay.
+/// equal the session's fault counters, every shipped island agrees with
+/// its replay, and with no link death every agent delivered exactly the
+/// frames its schedule predicts.
 struct AttributionReport {
   std::vector<AgentAttribution> agents;  ///< ascending by agent id
   std::vector<LinkAttribution> links;    ///< ascending by child id
@@ -88,8 +89,18 @@ struct AttributionReport {
   bool fates_reconcile = false;   ///< replayed fate totals == ScenarioResult counters
   bool agents_reconcile = false;  ///< every shipped island matches its replay
 
+  /// Every flag above, and each agent's delivered frames equal to the
+  /// schedule's prediction while no link died (a dead link loses
+  /// predicted frames legitimately).
   bool ok() const {
-    return frames_reconcile && bytes_reconcile && fates_reconcile && agents_reconcile;
+    if (!(frames_reconcile && bytes_reconcile && fates_reconcile && agents_reconcile)) {
+      return false;
+    }
+    if (stats.agent_deaths != 0) return true;
+    for (const AgentAttribution& a : agents) {
+      if (a.expected_frames != a.frames_delivered) return false;
+    }
+    return true;
   }
 
   /// Human-readable tables (fixed-width, deterministic).

@@ -489,10 +489,9 @@ chaos::ScenarioResult serve_in_slices(const chaos::Scenario& s,
   spec.job_id = "contract";
   spec.scenario = s;
   serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
-  serving::SliceContext ctx;
-  ctx.built = &built;
+  chaos::RoundKernel kernel(spec.scenario, built);
   while (!ck.finished()) {
-    serving::run_job_slice(ck, slice, ctx);
+    serving::run_job_slice(ck, slice, kernel);
     ck = serving::checkpoint_from_json(ck.to_json());
   }
   return chaos::scenario_result(ck.state, built);

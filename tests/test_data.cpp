@@ -101,8 +101,8 @@ TEST(RegressionData, OrthonormalBlocksAreOrthonormal) {
   rng::Rng rng(20);
   const auto inst = data::make_orthonormal_regression(6, 3, 1, 0.0, Vector{1.0, 2.0, 3.0}, rng);
   EXPECT_EQ(inst.problem.num_agents(), 6u);
-  for (const auto& block : inst.blocks) {
-    const Matrix gram = block.gram();
+  for (std::size_t agent = 0; agent < inst.problem.num_agents(); ++agent) {
+    const Matrix gram = inst.block(agent).gram();
     for (std::size_t i = 0; i < 3; ++i)
       for (std::size_t j = 0; j < 3; ++j)
         EXPECT_NEAR(gram(i, j), i == j ? 1.0 : 0.0, 1e-10);
@@ -190,11 +190,10 @@ TEST(RegressionData, OrthonormalRegressionIsBitIdenticalToTheAllocatingGramSchmi
     const auto inst =
         data::make_orthonormal_regression(n, d, (n - 1) / 2, 0.25, x_star, library_rng);
     const ReferenceBlocks ref = reference_orthonormal_regression(n, d, 0.25, x_star, reference_rng);
-    ASSERT_EQ(inst.blocks.size(), n);
-    ASSERT_EQ(inst.observations.size(), n);
+    ASSERT_EQ(inst.problem.num_agents(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(same_bits(inst.blocks[i].data(), ref.blocks[i].data())) << "block " << i;
-      EXPECT_TRUE(same_bits(inst.observations[i].data(), ref.observations[i].data()))
+      EXPECT_TRUE(same_bits(inst.block(i).data(), ref.blocks[i].data())) << "block " << i;
+      EXPECT_TRUE(same_bits(inst.observation(i).data(), ref.observations[i].data()))
           << "observation " << i;
     }
     // Both generators must stand at the same stream position, cached

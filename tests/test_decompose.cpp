@@ -413,8 +413,8 @@ TEST(QrBitIdentity, MatchesTheColumnOrderReferenceOnAStackedOrthonormalSystem) {
   Vector b(14 * 64);
   for (std::size_t id = 0; id < 14; ++id) {
     for (std::size_t r = 0; r < 64; ++r) {
-      for (std::size_t c = 0; c < 64; ++c) stacked(id * 64 + r, c) = inst.blocks[id](r, c);
-      b[id * 64 + r] = inst.observations[id][r];
+      for (std::size_t c = 0; c < 64; ++c) stacked(id * 64 + r, c) = inst.block(id)(r, c);
+      b[id * 64 + r] = inst.observation(id)[r];
     }
   }
   expect_qr_matches_reference(stacked, {b}, "stacked 896 x 64");

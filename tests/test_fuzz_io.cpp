@@ -570,9 +570,8 @@ std::string valid_checkpoint_json() {
   spec.scenario = s;
   const chaos::MaterializedScenario built = chaos::materialize_scenario(s);
   serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
-  serving::SliceContext ctx;
-  ctx.built = &built;
-  serving::run_job_slice(ck, 13, ctx);
+  chaos::RoundKernel kernel(spec.scenario, built);
+  serving::run_job_slice(ck, 13, kernel);
   return ck.to_json();
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -334,6 +335,107 @@ TEST(TraceDeterminism, ArtifactsParseAndCoverEveryProcess) {
 }
 
 // ---------------------------------------------------------------------------
+// Span budget of one traced session
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A session_tree-shaped scenario (mean, n = 16, f = 2, d = 64 under CGE,
+/// a gradient_reverse agent, drop 0.05, duplicate 0.2, delay <= 2, 500
+/// rounds); the churn twin has three fault-free agents leave and rejoin.
+chaos::Scenario session_tree_scenario(bool churn) {
+  chaos::Scenario s;
+  s.name = churn ? "session_tree-churn" : "session_tree";
+  s.seed = 5;
+  s.problem = "mean";
+  s.filter = "cge";
+  s.n = 16;
+  s.f = 2;
+  s.d = 64;
+  s.rounds = 500;
+  chaos::FaultSpec byzantine;
+  byzantine.kind = chaos::FaultSpec::Kind::kByzantine;
+  byzantine.agent = 9;
+  byzantine.attack = "gradient_reverse";
+  byzantine.attack_param = 1.0;
+  s.faults = {byzantine};
+  s.channel.drop_probability = 0.05;
+  s.channel.duplicate_probability = 0.2;
+  s.channel.max_delay = 2;
+  if (churn) {
+    using Kind = chaos::MembershipEvent::Kind;
+    s.membership = {{Kind::kLeave, 2, 60},   {Kind::kJoin, 2, 140},  {Kind::kLeave, 7, 150},
+                    {Kind::kLeave, 11, 240}, {Kind::kJoin, 7, 260}, {Kind::kJoin, 11, 400}};
+  }
+  s.validate();
+  return s;
+}
+
+/// Spans per name, and the instant count, that one traced in-process tree
+/// session leaves in the global span log.
+struct SessionRecords {
+  std::map<std::string, std::size_t> spans;
+  std::size_t total_spans = 0;
+  std::map<std::string, std::size_t> instants;
+  std::size_t total_instants = 0;
+  std::uint64_t dropped = 0;
+};
+
+SessionRecords traced_session_records(bool churn) {
+  reset_telemetry();
+  const chaos::Scenario s = session_tree_scenario(churn);
+  const transport::SessionOptions options =
+      opts(transport::BackendKind::kInproc, transport::Topology::kTree);
+  if (churn) {
+    EXPECT_FALSE(elastic::run_elastic_transport(s, options).result.nonfinite);
+  } else {
+    EXPECT_FALSE(transport::run_scenario_transport(s, options).result.nonfinite);
+  }
+  SessionRecords out;
+  const telemetry::SpanLog& log = telemetry::span_log();
+  for (const telemetry::SpanRecord& span : log.spans()) ++out.spans[span.name];
+  out.total_spans = log.spans().size();
+  for (const telemetry::InstantRecord& instant : log.instants()) ++out.instants[instant.name];
+  out.total_instants = log.instants().size();
+  out.dropped = log.dropped();
+  telemetry::span_log().clear();
+  return out;
+}
+
+}  // namespace
+
+// The global log caps at 2^18 records, and a traced benchmark phase runs
+// sessions back to back into one log, so its capacity is spent at this
+// many records per session.  Any change to per-round records moves these
+// numbers; docs/PERFORMANCE.md keeps the budget arithmetic.
+TEST(SessionTraceBudget, FixedTreeSessionRecordsPinnedSpansAndInstants) {
+  const SessionRecords r = traced_session_records(false);
+  const std::map<std::string, std::size_t> spans = {
+      {"session.round", 500},         {"session.scenario", 1},
+      {"telemetry.parse_islands", 1}, {"transport.collect_telemetry", 1},
+      {"transport.exchange", 500}};
+  EXPECT_EQ(r.spans, spans);
+  EXPECT_EQ(r.total_spans, 1003u);
+  // One instant per round aggregated with a reduced (n, f).
+  EXPECT_EQ(r.instants, (std::map<std::string, std::size_t>{{"session.filter_rebuild", 494}}));
+  EXPECT_EQ(r.total_instants, 494u);
+  EXPECT_EQ(r.dropped, 0u);
+}
+
+TEST(SessionTraceBudget, ChurnTreeSessionRecordsPinnedSpansAndInstants) {
+  const SessionRecords r = traced_session_records(true);
+  const std::map<std::string, std::size_t> spans = {
+      {"elastic.round", 500},         {"elastic.scenario", 1},
+      {"telemetry.parse_islands", 1}, {"transport.collect_telemetry", 1},
+      {"transport.exchange", 500}};
+  EXPECT_EQ(r.spans, spans);
+  EXPECT_EQ(r.total_spans, 1003u);
+  EXPECT_EQ(r.instants, (std::map<std::string, std::size_t>{{"elastic.filter_rebuild", 494}}));
+  EXPECT_EQ(r.total_instants, 494u);
+  EXPECT_EQ(r.dropped, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Attribution reconciliation
 // ---------------------------------------------------------------------------
 
@@ -422,6 +524,7 @@ TEST(Attribution, FrameShortOfItsPathDoesNotReconcile) {
     frame.hops = hops;
     frame.payload = {1.0, -2.0};
     transport::AttributionBuilder builder(topology, n, dim);
+    builder.on_fate(agent, 0, chaos::RoundFate{});  // the schedule predicts this frame
     builder.on_exchange({frame});
     // The stats a backend would book for exactly this delivery.
     transport::TransportStats stats;
@@ -445,6 +548,70 @@ TEST(Attribution, FrameShortOfItsPathDoesNotReconcile) {
   EXPECT_EQ(short_of_path.links[0].frames_up, 0u);
   EXPECT_FALSE(short_of_path.frames_reconcile);
   EXPECT_FALSE(short_of_path.ok());
+}
+
+TEST(Attribution, FateBookedAtTheWrongRoundDoesNotReconcile) {
+  // One agent on a star, three exchanges.  Its round-0 reply is delayed
+  // by one round, so exchange 1 delivers two frames and exchange 2 one.
+  // Booked at round 2 instead, the delayed fate falls due after the last
+  // exchange: every frame, byte and fate total still balances, and only
+  // the agent's predicted deliveries disagree with what arrived.
+  const transport::Topology topology = transport::Topology::kStar;
+  const std::size_t n = 1;
+  const std::size_t dim = 2;
+  const auto frame = [](std::uint64_t emitted) {
+    util::Frame f;
+    f.agent = 0;
+    f.emitted = emitted;
+    f.hops = 1;
+    f.payload = {1.0, -2.0};
+    return f;
+  };
+  chaos::RoundFate delayed;
+  delayed.delay = 1;
+  const chaos::RoundFate on_time;
+  chaos::ScenarioResult result;
+  result.delayed_replies = 1;
+
+  const auto report_for = [&](std::size_t delayed_round,
+                              const std::vector<std::vector<util::Frame>>& exchanges,
+                              std::uint64_t deaths) {
+    transport::AttributionBuilder builder(topology, n, dim);
+    transport::TransportStats stats;
+    stats.agent_deaths = deaths;
+    builder.on_fate(0, delayed_round, delayed);
+    for (std::size_t round = 0; round < exchanges.size(); ++round) {
+      if (round > 0) builder.on_fate(0, round, on_time);
+      builder.on_exchange(exchanges[round]);
+      ++stats.exchanges;
+      stats.bytes_on_wire += n * util::frame_wire_size_for(dim);
+      for (const util::Frame& f : exchanges[round]) {
+        ++stats.frames_delivered;
+        stats.bytes_on_wire += util::frame_wire_size(f) * f.hops;
+      }
+    }
+    return builder.build(result, stats, {});
+  };
+
+  const std::vector<std::vector<util::Frame>> delivered = {{}, {frame(0), frame(1)}, {frame(2)}};
+  const transport::AttributionReport right = report_for(0, delivered, 0);
+  EXPECT_EQ(right.agents[0].expected_frames, 3u);
+  EXPECT_TRUE(right.ok());
+
+  const transport::AttributionReport wrong = report_for(2, delivered, 0);
+  EXPECT_TRUE(wrong.frames_reconcile);
+  EXPECT_TRUE(wrong.bytes_reconcile);
+  EXPECT_TRUE(wrong.fates_reconcile);
+  EXPECT_TRUE(wrong.agents_reconcile);
+  EXPECT_EQ(wrong.agents[0].expected_frames, 2u);
+  EXPECT_EQ(wrong.agents[0].frames_delivered, 3u);
+  EXPECT_FALSE(wrong.ok());
+
+  // A dead link loses predicted frames legitimately: the gate holds only
+  // while no death was detected.
+  const std::vector<std::vector<util::Frame>> lost = {{}, {frame(0), frame(1)}, {}};
+  EXPECT_FALSE(report_for(0, lost, 0).ok());
+  EXPECT_TRUE(report_for(0, lost, 1).ok());
 }
 
 TEST(Attribution, ReportRendersDeterministicTextAndJson) {

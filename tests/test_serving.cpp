@@ -1,15 +1,15 @@
 // Behavioral tests for the serving subsystem: job specs, checkpoints,
 // the resumable slice runner, the scheduler's admission control and
-// fairness, cross-job gradient stacking, and the daemon's wire protocol
-// end to end over a real Unix-domain socket.
+// fairness, per-job round kernels, and the daemon's wire protocol end to
+// end over a real Unix-domain socket.
 //
 // The load-bearing claims are all byte-equality claims, asserted as
 // such: a checkpoint round-trips through JSON bit-exactly, a job sliced
 // 1 round at a time (with a serialize/reload between every slice — a
 // simulated crash at every boundary) ends in the same bytes as an
 // uninterrupted run, a fault-free serving trajectory equals the chaos
-// executor's, and the cross-job stacked evaluator equals the virtual
-// cost path down to the final manifest.  That a serving job equals the
+// executor's, and interleaved jobs end in the bytes of each job run
+// alone.  That a serving job equals the
 // chaos executor on every scenario is AllDrivers in test_chaos.
 #include <gtest/gtest.h>
 
@@ -115,10 +115,9 @@ serving::JobCheckpoint run_sliced(const serving::JobSpec& spec,
                                   const chaos::MaterializedScenario& built, std::size_t slice,
                                   bool reload_between_slices) {
   serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
-  serving::SliceContext ctx;
-  ctx.built = &built;
+  chaos::RoundKernel kernel(spec.scenario, built);
   while (!ck.finished()) {
-    serving::run_job_slice(ck, slice, ctx);
+    serving::run_job_slice(ck, slice, kernel);
     if (reload_between_slices) ck = serving::checkpoint_from_json(ck.to_json());
   }
   return ck;
@@ -181,9 +180,8 @@ TEST(Checkpoint, RoundTripsThroughJsonBitExactly) {
   const serving::JobSpec spec = make_job("ck", faulty_scenario(11));
   const chaos::MaterializedScenario built = chaos::materialize_scenario(spec.scenario);
   serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
-  serving::SliceContext ctx;
-  ctx.built = &built;
-  serving::run_job_slice(ck, 17, ctx);  // mid-flight: history + pending populated
+  chaos::RoundKernel kernel(spec.scenario, built);
+  serving::run_job_slice(ck, 17, kernel);  // mid-flight: history + pending populated
   ASSERT_FALSE(ck.finished());
 
   const std::string json = ck.to_json();
@@ -201,9 +199,8 @@ TEST(Checkpoint, SubnormalValuesRoundTripBitExactly) {
   const serving::JobSpec spec = make_job("ck", faulty_scenario(11));
   const chaos::MaterializedScenario built = chaos::materialize_scenario(spec.scenario);
   serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
-  serving::SliceContext ctx;
-  ctx.built = &built;
-  serving::run_job_slice(ck, 17, ctx);
+  chaos::RoundKernel kernel(spec.scenario, built);
+  serving::run_job_slice(ck, 17, kernel);
   const double tiny = std::numeric_limits<double>::denorm_min();
   const double subnormals[] = {tiny, -tiny, 1e-310, -1e-310};
   chaos::RoundState& st = ck.state;
@@ -223,9 +220,8 @@ TEST(Checkpoint, ParserRejectsHostileDocuments) {
   const serving::JobSpec spec = make_job("ck", faulty_scenario(11));
   const chaos::MaterializedScenario built = chaos::materialize_scenario(spec.scenario);
   serving::JobCheckpoint ck = serving::make_initial_checkpoint(spec, built);
-  serving::SliceContext ctx;
-  ctx.built = &built;
-  serving::run_job_slice(ck, 9, ctx);
+  chaos::RoundKernel kernel(spec.scenario, built);
+  serving::run_job_slice(ck, 9, kernel);
   const std::string json = ck.to_json();
 
   // Unknown member.
@@ -348,52 +344,59 @@ TEST(BatchGradient, GroupedEvaluationMatchesPerGroupAndVirtualPaths) {
   xb[0] = -1.125;
   xb[1] = 3.0;
 
-  std::vector<std::vector<Vector>> stacked;
-  grouped->evaluate_groups({xa, xb}, stacked);
-  ASSERT_EQ(stacked.size(), 2u);
-
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const Vector& x = g == 0 ? xa : xb;
     auto single = core::BatchGradientEvaluator::try_create(groups[g]);
     ASSERT_NE(single, nullptr);
     std::vector<Vector> per_group;
     single->evaluate_all(x, per_group);
-    ASSERT_EQ(stacked[g].size(), per_group.size());
     for (std::size_t i = 0; i < per_group.size(); ++i) {
-      expect_bytes_equal(stacked[g][i], per_group[i]);
-      expect_bytes_equal(stacked[g][i], groups[g][i]->gradient(x));
-      // The per-agent path at the global index agrees too.
+      // The grouped evaluator's per-agent path at the global index, the
+      // per-group stacked pass, the virtual cost and its writing form
+      // all agree bit for bit.
       Vector ws, out;
       grouped->evaluate_agent(grouped->group_offset(g) + i, x, ws, out);
-      expect_bytes_equal(stacked[g][i], out);
+      expect_bytes_equal(out, per_group[i]);
+      expect_bytes_equal(out, groups[g][i]->gradient(x));
+      Vector into, scratch;
+      groups[g][i]->gradient_into(x, into, scratch);
+      expect_bytes_equal(out, into);
     }
   }
 }
 
-TEST(Scheduler, CrossJobStackingIsBitIdenticalToTheVirtualPath) {
+TEST(Scheduler, ConcurrentJobsAreBitIdenticalToJobsRunAlone) {
   telemetry::registry().reset();
-  // Two concurrent least-squares jobs stack into one grouped evaluator;
-  // their manifests must match jobs run alone through the virtual path.
+  // Three concurrent jobs interleave slices, each through its own kernel;
+  // their checkpoints must match each job run alone with another slice
+  // partition and a reload at every boundary.  The third job's replies
+  // may wait up to the parser's cap of 2^20 rounds, far past its last
+  // round: its kernel sizes nothing by that bound.
   serving::SchedulerOptions options;
   options.slice_rounds = 7;
   serving::Scheduler scheduler(options);
   const serving::JobSpec job_a = make_job("stack-a", faulty_scenario(31));
   const serving::JobSpec job_b = make_job("stack-b", faulty_scenario(37));
+  chaos::Scenario long_delay = faulty_scenario(41);
+  long_delay.channel.max_delay = std::size_t{1} << 20;
+  const serving::JobSpec job_c =
+      serving::job_spec_from_json(make_job("stack-c", long_delay).to_json());
   ASSERT_EQ(scheduler.submit(job_a), "");
   ASSERT_EQ(scheduler.submit(job_b), "");
-  ASSERT_NE(scheduler.group_evaluator(), nullptr);
-  ASSERT_EQ(scheduler.group_evaluator()->num_groups(), 2u);
+  ASSERT_EQ(scheduler.submit(job_c), "");
 
   while (!scheduler.idle()) scheduler.step(nullptr);
 
-  for (const serving::JobSpec& spec : {job_a, job_b}) {
-    const serving::JobCheckpoint* stacked = scheduler.finished_checkpoint(spec.job_id);
-    ASSERT_NE(stacked, nullptr);
-    // Same job, alone, virtual cost path, different slice partition.
+  for (const serving::JobSpec& spec : {job_a, job_b, job_c}) {
+    const serving::JobCheckpoint* together = scheduler.finished_checkpoint(spec.job_id);
+    ASSERT_NE(together, nullptr);
     const chaos::MaterializedScenario built = chaos::materialize_scenario(spec.scenario);
     const serving::JobCheckpoint alone = run_sliced(spec, built, 11, true);
-    EXPECT_EQ(stacked->to_json(), alone.to_json()) << spec.job_id;
+    EXPECT_EQ(together->to_json(), alone.to_json()) << spec.job_id;
   }
+  // Replies of job c due after its last round are still pending.
+  EXPECT_FALSE(scheduler.finished_checkpoint("stack-c")->state.pending.empty());
+  EXPECT_EQ(telemetry::registry().counter("serving.restacks").value(), 0u);
 }
 
 TEST(Scheduler, AdmissionControlRejectsWithExactReasons) {
